@@ -1,15 +1,19 @@
 // Google-benchmark microbenchmarks of the substrate itself: these measure
 // *wall-clock* cost of the simulator and library plumbing (event
-// scheduling, CPU resource, verbs data path, a full blast run), which is
-// what bounds how large an experiment the harness can sweep.
+// scheduling, CPU resource, verbs data path, a full blast run, a mux
+// dispatch round), which is what bounds how large an experiment the
+// harness can sweep.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "blast/blast.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "exs/exs.hpp"
+#include "exs/mux.hpp"
 #include "verbs/queue_pair.hpp"
 
 namespace {
@@ -42,17 +46,19 @@ void BM_CpuTaskChain(benchmark::State& state) {
 }
 BENCHMARK(BM_CpuTaskChain);
 
+// One write of up to 100 bytes and a full drain per iteration: 100 does not
+// divide the capacity, so the cursors walk round the ring and wrap.
 void BM_RingCursorCycle(benchmark::State& state) {
   RingCursor ring(4096);
   std::uint64_t x = 0;
   for (auto _ : state) {
-    std::uint64_t w = ring.ContiguousWritable() & 127;
+    std::uint64_t w = std::min<std::uint64_t>(ring.ContiguousWritable(), 100);
     ring.CommitWrite(w);
     std::uint64_t r = ring.ContiguousReadable();
     ring.CommitRead(r);
     x += w + r;
+    benchmark::DoNotOptimize(x);
   }
-  benchmark::DoNotOptimize(x);
 }
 BENCHMARK(BM_RingCursorCycle);
 
@@ -112,6 +118,51 @@ void BM_FullBlastRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_FullBlastRun);
+
+// One mux dispatch round on a slot carrying `M` attached streams, 8 of
+// them parked.  A round walks only the parked streams (the active list),
+// so its cost should stay flat as M grows.  Each iteration is one shared
+// credit spent and returned, a control message each way, plus the round
+// the return triggers on each side.
+void BM_MuxDispatchRound(benchmark::State& state) {
+  const auto streams = static_cast<std::uint32_t>(state.range(0));
+  constexpr std::uint32_t kParked = 8;
+  Simulation sim(simnet::HardwareProfile::FdrInfiniBand(), 1);
+  MuxOptions opts;
+  opts.width = 1;
+  MuxGroup g0(sim.device(0), opts);
+  MuxGroup g1(sim.device(1), opts);
+  MuxGroup::Connect(g0, g1);
+  std::vector<std::unique_ptr<MuxStream>> tx, rx;
+  for (std::uint32_t id = 0; id < streams; ++id) {
+    tx.push_back(g0.AttachStream(id));
+    rx.push_back(g1.AttachStream(id));
+  }
+  wire::ControlMessage msg;
+  msg.type = static_cast<std::uint8_t>(wire::ControlType::kAck);
+  // Spend node 0's shared credits, then park kParked streams spread over
+  // the rotation: a refused CanSend() parks a stream, and these never
+  // send again, so every round wakes all of them.
+  while (g0.slot(0).CanSend()) tx[0]->SendControl(msg);
+  for (std::uint32_t i = 0; i < kParked; ++i) {
+    tx[i * (streams / kParked)]->CanSend();
+  }
+  sim.Run();
+  const std::uint64_t wakes_before = g0.stats().dispatch_wakes;
+  MuxStream& sender = *tx[1];
+  for (auto _ : state) {
+    sender.SendControl(msg);
+    sim.Run();
+    rx[1]->SendControl(msg);  // returns the credit: one round on node 0
+    sim.Run();
+  }
+  const std::uint64_t wakes = g0.stats().dispatch_wakes - wakes_before;
+  if (wakes != kParked * static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("a round did not wake exactly the parked streams");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MuxDispatchRound)->Arg(64)->Arg(1024)->Arg(16384)->Arg(65536);
 
 }  // namespace
 

@@ -1,5 +1,9 @@
 #include "exs/loadgen/popularity.hpp"
 
+#include <map>
+#include <mutex>
+#include <utility>
+
 namespace exs::loadgen {
 
 namespace {
@@ -12,11 +16,24 @@ double Zeta(std::uint64_t n, double theta) {
   return sum;
 }
 
+/// Zeta(n, theta), summed once per key space: every client of a workload
+/// builds its own sampler over the same (n, theta), and the O(n) sum
+/// dominated their setup.  The same loop fills the cache, so the values
+/// are bit-identical to an uncached sum.
+double SharedZeta(std::uint64_t n, double theta) {
+  static std::mutex mu;
+  static std::map<std::pair<std::uint64_t, double>, double> cache;
+  std::lock_guard<std::mutex> lock(mu);
+  auto [it, inserted] = cache.try_emplace({n, theta}, 0.0);
+  if (inserted) it->second = Zeta(n, theta);
+  return it->second;
+}
+
 }  // namespace
 
 ZipfSampler::ZipfSampler(std::uint64_t n, double theta)
     : n_(n == 0 ? 1 : n), theta_(theta) {
-  zetan_ = Zeta(n_, theta_);
+  zetan_ = SharedZeta(n_, theta_);
   alpha_ = 1.0 / (1.0 - theta_);
   const double zeta2 = Zeta(2 < n_ ? 2 : n_, theta_);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /

@@ -1,7 +1,8 @@
 // Key-popularity and value-size distributions for the traffic generator.
 //
 // The Zipf sampler is the Gray et al. transform (the YCSB
-// ZipfianGenerator lineage): an O(n) zeta precompute at construction,
+// ZipfianGenerator lineage): an O(n) zeta precompute, done once per
+// (n, theta) per process and shared by every sampler over that key space,
 // then O(1) draws mapping one uniform variate to a rank — rank 0 is the
 // hottest key.  All arithmetic is double-precision with a fixed
 // evaluation order, so fixed seeds reproduce identical sample trains

@@ -1,6 +1,7 @@
 #include "exs/mux.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/check.hpp"
@@ -22,11 +23,7 @@ MuxGroup::MuxGroup(verbs::Device& device, MuxOptions options)
     slots_.push_back(
         std::make_unique<ControlChannel>(device, options_.qp_credits));
   }
-  slot_fifo_.resize(slots_.size());
-  slot_streams_.resize(slots_.size());
-  slot_dead_ids_.resize(slots_.size(), 0);
-  slot_cursor_.resize(slots_.size(), 0);
-  slot_in_round_.resize(slots_.size(), false);
+  slot_state_.resize(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) WireSlot(i);
 }
 
@@ -42,8 +39,8 @@ void MuxGroup::Connect(MuxGroup& a, MuxGroup& b) {
     // Reconnect path: posts flushed by the slot's death never complete, so
     // their FIFO records are stale (cleared at the fatal too — this keeps
     // a partial-death reconnect consistent).
-    a.slot_fifo_[i].clear();
-    b.slot_fifo_[i].clear();
+    a.slot_state_[i].fifo.clear();
+    b.slot_state_[i].fifo.clear();
   }
 }
 
@@ -54,7 +51,10 @@ std::unique_ptr<MuxStream> MuxGroup::AttachStream(std::uint32_t stream_id) {
                 "stream id " << stream_id << " already attached");
   std::unique_ptr<MuxStream> stream(new MuxStream(*this, stream_id));
   routes_.emplace(stream_id, stream.get());
-  slot_streams_[SlotIndex(stream_id)].push_back(stream_id);
+  Slot& s = slot_state_[SlotIndex(stream_id)];
+  stream->rot_pos_ = s.rotation.size();
+  s.rotation.push_back(stream.get());
+  s.parked.resize((s.rotation.size() + 63) / 64, 0);
   ++stats_.streams_attached;
   if (stream_id >= next_stream_id_) next_stream_id_ = stream_id + 1;
   return stream;
@@ -81,19 +81,43 @@ std::vector<std::uint32_t> MuxGroup::StreamIds() const {
 void MuxGroup::Detach(std::uint32_t stream_id) {
   auto it = routes_.find(stream_id);
   if (it == routes_.end()) return;
+  MuxStream* stream = it->second;
   routes_.erase(it);
   ++stats_.streams_detached;
   std::size_t slot = SlotIndex(stream_id);
-  // Lazy removal from the dispatch rotation: compact once dead ids
-  // outnumber live ones, so mass teardown stays linear overall.
-  if (++slot_dead_ids_[slot] * 2 > slot_streams_[slot].size()) {
-    auto& ids = slot_streams_[slot];
-    std::erase_if(ids, [this](std::uint32_t id) {
-      return routes_.find(id) == routes_.end();
-    });
-    slot_dead_ids_[slot] = 0;
-    slot_cursor_[slot] = 0;
+  Slot& s = slot_state_[slot];
+  // Lazy removal from the dispatch rotation: leave a hole, compacted once
+  // holes outnumber streams, so mass teardown stays linear overall.
+  s.rotation[stream->rot_pos_] = nullptr;
+  s.SetParked(stream->rot_pos_, false);
+  ++s.holes;
+  MaybeCompact(slot);
+}
+
+void MuxGroup::MaybeCompact(std::size_t slot) {
+  Slot& s = slot_state_[slot];
+  if (s.walks > 0 || s.holes * 2 <= s.rotation.size()) return;
+  std::erase(s.rotation, nullptr);
+  s.parked.assign((s.rotation.size() + 63) / 64, 0);
+  for (std::size_t pos = 0; pos < s.rotation.size(); ++pos) {
+    MuxStream* stream = s.rotation[pos];
+    stream->rot_pos_ = pos;
+    if (stream->parked_) s.SetParked(pos, true);
   }
+  s.holes = 0;
+  s.cursor = 0;
+}
+
+std::size_t MuxGroup::Slot::NextParked(std::size_t from,
+                                       std::size_t end) const {
+  if (from >= end) return end;
+  std::size_t w = from / 64;
+  std::uint64_t word = parked[w] & (~std::uint64_t{0} << (from % 64));
+  while (word == 0) {
+    if (++w * 64 >= end) return end;
+    word = parked[w];
+  }
+  return std::min(w * 64 + std::countr_zero(word), end);
 }
 
 void MuxGroup::WireSlot(std::size_t slot) {
@@ -148,7 +172,7 @@ void MuxGroup::OnSlotDataRaw(std::size_t /*slot*/,
 void MuxGroup::OnSlotControl(const wire::ControlMessage& msg) {
   auto it = routes_.find(msg.stream_id);
   if (it == routes_.end()) {
-    ++stats_.orphan_drops;
+    ++stats_.orphan_control_drops;
     return;
   }
   MuxStream* stream = it->second;
@@ -160,10 +184,10 @@ void MuxGroup::OnSlotControl(const wire::ControlMessage& msg) {
 }
 
 void MuxGroup::OnSlotDataSent(std::size_t slot, std::uint64_t wr_id) {
-  EXS_CHECK_MSG(!slot_fifo_[slot].empty(),
-                "send completion with no posted record");
-  PostRecord rec = slot_fifo_[slot].front();
-  slot_fifo_[slot].pop_front();
+  auto& fifo = slot_state_[slot].fifo;
+  EXS_CHECK_MSG(!fifo.empty(), "send completion with no posted record");
+  PostRecord rec = fifo.front();
+  fifo.pop_front();
   EXS_CHECK_MSG(rec.wr_id == wr_id, "send completions out of post order");
   auto it = routes_.find(rec.stream);
   if (it == routes_.end()) {
@@ -180,40 +204,49 @@ void MuxGroup::OnSlotFatal(std::size_t slot, verbs::WcStatus status) {
   // flushed posts never complete, so their FIFO records are dropped here
   // (late success completions racing the death are already dropped inside
   // the slot channel).
-  slot_fifo_[slot].clear();
-  for (std::uint32_t id : slot_streams_[slot]) {
-    auto it = routes_.find(id);
-    if (it != routes_.end() && !it->second->dead_) it->second->MarkDead(status);
+  Slot& s = slot_state_[slot];
+  s.fifo.clear();
+  ++s.walks;
+  for (std::size_t pos = 0; pos < s.rotation.size(); ++pos) {
+    MuxStream* stream = s.rotation[pos];
+    if (stream != nullptr && !stream->dead_) stream->MarkDead(status);
   }
+  --s.walks;
+  MaybeCompact(slot);
 }
 
 void MuxGroup::DispatchSlot(std::size_t slot) {
-  if (slot_in_round_[slot]) return;  // re-entered from a woken pump
-  auto& ids = slot_streams_[slot];
-  if (ids.empty()) return;
+  Slot& s = slot_state_[slot];
+  if (s.in_round) return;  // re-entered from a woken pump
+  // Streams attached during the round sit past n and wait for the next.
+  const std::size_t n = s.rotation.size();
+  if (n == 0) return;
   ++stats_.dispatch_rounds;
-  slot_in_round_[slot] = true;
-  const std::size_t n = ids.size();
-  const std::size_t start = slot_cursor_[slot] % n;
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t idx = (start + k) % n;
-    auto it = routes_.find(ids[idx]);
-    if (it == routes_.end()) continue;
-    MuxStream* stream = it->second;
-    if (stream->dead_ || !stream->parked_) continue;
-    stream->deficit_ = options_.drr_quantum;
-    ++stats_.dispatch_wakes;
-    stream->FireCreditAvailable();
-    if (slots_[slot]->dead() || !slots_[slot]->CanSend()) {
-      // Shared credits exhausted mid-round (or the slot died under us):
-      // resume after this stream next time.
-      slot_cursor_[slot] = (idx + 1) % n;
-      slot_in_round_[slot] = false;
-      return;
+  s.in_round = true;
+  ++s.walks;
+  const std::size_t start = s.cursor % n;
+  // Wake the parked streams in [from, end).  The bitmap is re-read after
+  // every wake: a woken pump may park, unpark, kill or detach any stream.
+  auto wake = [&](std::size_t from, std::size_t end) {
+    for (std::size_t pos = s.NextParked(from, end); pos < end;
+         pos = s.NextParked(pos + 1, end)) {
+      MuxStream* stream = s.rotation[pos];
+      stream->deficit_ = options_.drr_quantum;
+      ++stats_.dispatch_wakes;
+      stream->FireCreditAvailable();
+      if (slots_[slot]->dead() || !slots_[slot]->CanSend()) {
+        // Shared credits exhausted mid-round (or the slot died under us):
+        // resume after this stream next time.
+        s.cursor = (pos + 1) % n;
+        return false;
+      }
     }
-  }
-  slot_cursor_[slot] = (start + 1) % n;
-  slot_in_round_[slot] = false;
+    return true;
+  };
+  if (wake(start, n) && wake(0, start)) s.cursor = (start + 1) % n;
+  s.in_round = false;
+  --s.walks;
+  MaybeCompact(slot);
 }
 
 // ---------------------------------------------------------------------------
@@ -235,7 +268,7 @@ bool MuxStream::CanSend() const {
   if (group_alive_.expired() || dead_) return false;
   bool ok = slot_->CanSend() &&
             outstanding_ < group_->options_.per_stream_credits;
-  if (ok && group_->slot_in_round_[slot_index_]) ok = deficit_ > 0;
+  if (ok && group_->slot_state_[slot_index_].in_round) ok = deficit_ > 0;
   if (!ok) NotePark();
   return ok;
 }
@@ -263,12 +296,11 @@ void MuxStream::PostDataWwi(std::uint64_t wr_id, const void* src,
   tag.stream = id_;
   tag.seq = tx_seq_++;
   tag.epoch = epoch_;
-  group_->slot_fifo_[slot_index_].push_back({id_, wr_id, epoch_});
+  MuxGroup::Slot& slot = group_->slot_state_[slot_index_];
+  slot.fifo.push_back({id_, wr_id, epoch_});
   ++outstanding_;
   ++group_->stats_.data_posted;
-  if (group_->slot_in_round_[slot_index_]) {
-    deficit_ -= std::min(deficit_, len);
-  }
+  if (slot.in_round) deficit_ -= std::min(deficit_, len);
   slot_->PostDataWwiTagged(wr_id, src, lkey, len, remote_addr, rkey, indirect,
                            has_stripe_seq, stripe_seq, trace_ctx, tag);
 }
@@ -287,12 +319,11 @@ void MuxStream::PostDataWwiV(std::uint64_t wr_id, const SendSlice* slices,
   tag.stream = id_;
   tag.seq = tx_seq_++;
   tag.epoch = epoch_;
-  group_->slot_fifo_[slot_index_].push_back({id_, wr_id, epoch_});
+  MuxGroup::Slot& slot = group_->slot_state_[slot_index_];
+  slot.fifo.push_back({id_, wr_id, epoch_});
   ++outstanding_;
   ++group_->stats_.data_posted;
-  if (group_->slot_in_round_[slot_index_]) {
-    deficit_ -= std::min(deficit_, len);
-  }
+  if (slot.in_round) deficit_ -= std::min(deficit_, len);
   slot_->PostDataWwiVTagged(wr_id, slices, n, len, remote_addr, rkey, indirect,
                             has_stripe_seq, stripe_seq, trace_ctx, tag);
 }
@@ -340,12 +371,12 @@ void MuxStream::Revive() {
   tx_seq_ = 0;
   rx_expect_ = 0;
   deficit_ = 0;
-  parked_ = false;
+  SetParked(false);
 }
 
 void MuxStream::MarkDead(verbs::WcStatus status) {
   dead_ = true;
-  parked_ = false;
+  SetParked(false);
   if (fatal_notified_) return;
   fatal_notified_ = true;
   if (callbacks_.on_fatal) callbacks_.on_fatal(status);
@@ -367,16 +398,21 @@ void MuxStream::FireCreditAvailable() {
   if (callbacks_.on_credit_available) callbacks_.on_credit_available();
 }
 
+void MuxStream::SetParked(bool on) const {
+  parked_ = on;
+  group_->slot_state_[slot_index_].SetParked(rot_pos_, on);
+}
+
 void MuxStream::NotePark() const {
   if (parked_) return;
-  parked_ = true;
+  SetParked(true);
   park_since_ = slot_->device().scheduler().Now();
   if (parks_ != nullptr) parks_->Increment();
 }
 
 void MuxStream::NoteUnblocked() {
   if (!parked_) return;
-  parked_ = false;
+  SetParked(false);
   if (hol_wait_ != nullptr) {
     SimTime now = slot_->device().scheduler().Now();
     hol_wait_->Record(static_cast<std::uint64_t>(

@@ -26,6 +26,17 @@
 // only by its window — which keeps the scheme deadlock-free: any credit
 // return reaches every parked stream.
 //
+// A round visits only the parked streams — DRR's active list.  Each slot
+// keeps its streams in attach order (the rotation) plus a bitmap with one
+// bit per rotation position, set exactly while that stream is parked; a
+// round walks the set bits from the cursor, wrapping round, so it costs
+// O(rotation / 64 + parked) rather than a lookup per attached stream, and
+// wakes the same streams in the same order a full rotation scan would.
+// Detached streams leave a hole that is compacted away once holes
+// outnumber streams.  Woken streams run socket pumps synchronously and may
+// destroy a cohabitant, so compaction waits until no round (or slot-death
+// sweep) is walking the rotation.
+//
 // Faults: MuxStream::Kill() is a *virtual* kill — the shared QP stays
 // healthy (its other streams are undisturbed) while this stream behaves
 // exactly like a dead transport: on_fatal fires, CanSend() is false, and
@@ -84,8 +95,11 @@ struct MuxGroupStats {
   /// a virtual kill) or that is currently dead.
   std::uint64_t stale_data_drops = 0;
   std::uint64_t stale_control_drops = 0;
-  /// Arrivals for a stream id with no attached stream (torn down).
+  /// Data arrivals for a stream id with no attached stream (torn down).
   std::uint64_t orphan_drops = 0;
+  /// Control arrivals for a stream id with no attached stream; outside the
+  /// data conservation law, like stale_control_drops.
+  std::uint64_t orphan_control_drops = 0;
   /// Send completions whose stream detached before they returned.
   std::uint64_t orphan_completions = 0;
   std::uint64_t dispatch_rounds = 0;
@@ -163,18 +177,43 @@ class MuxGroup {
   void OnSlotFatal(std::size_t slot, verbs::WcStatus status);
   /// DRR dispatch round over the slot's parked streams.
   void DispatchSlot(std::size_t slot);
+  /// Drop detached holes from the rotation once they outnumber streams,
+  /// unless a walk is in progress (it runs again when the walk ends).
+  void MaybeCompact(std::size_t slot);
+
+  /// Per-slot send-side state.  The vector holding these is sized once at
+  /// construction, so references stay valid across stream callbacks.
+  struct Slot {
+    /// Posted data WWIs, oldest first.
+    std::deque<PostRecord> fifo;
+    /// Attach-order streams (the dispatch rotation); null marks a detached
+    /// stream's hole.  A stream knows its own position (rot_pos_).
+    std::vector<MuxStream*> rotation;
+    /// One bit per rotation position, set while that stream is parked —
+    /// the DRR active list a round walks.
+    std::vector<std::uint64_t> parked;
+    std::size_t holes = 0;
+    std::size_t cursor = 0;    ///< rotation position the next round starts at
+    std::uint32_t walks = 0;   ///< rotation walks in progress; defer compaction
+    bool in_round = false;     ///< deficit gate + re-entrancy guard
+
+    void SetParked(std::size_t pos, bool on) {
+      std::uint64_t bit = std::uint64_t{1} << (pos % 64);
+      if (on) {
+        parked[pos / 64] |= bit;
+      } else {
+        parked[pos / 64] &= ~bit;
+      }
+    }
+    /// First parked position in [from, end), or end.
+    std::size_t NextParked(std::size_t from, std::size_t end) const;
+  };
 
   verbs::Device* device_;
   MuxOptions options_;
   MuxGroup* peer_ = nullptr;
   std::vector<std::unique_ptr<ControlChannel>> slots_;
-  std::vector<std::deque<PostRecord>> slot_fifo_;
-  /// Attach-order stream ids per slot (the dispatch rotation).  Detached
-  /// ids are skipped lazily and compacted once they outnumber live ones.
-  std::vector<std::vector<std::uint32_t>> slot_streams_;
-  std::vector<std::size_t> slot_dead_ids_;
-  std::vector<std::size_t> slot_cursor_;
-  std::vector<bool> slot_in_round_;  ///< deficit gate + re-entrancy guard
+  std::vector<Slot> slot_state_;
   std::unordered_map<std::uint32_t, MuxStream*> routes_;
   std::uint32_t next_stream_id_ = 0;
   MuxGroupStats stats_;
@@ -260,6 +299,8 @@ class MuxStream : public ChannelEndpoint {
   MuxStream(MuxGroup& group, std::uint32_t id);
 
   void MarkDead(verbs::WcStatus status);
+  /// Set parked_ and mirror it into the slot's active-list bitmap.
+  void SetParked(bool on) const;
   void NoteDataSent(std::uint64_t wr_id);
   void FireCreditAvailable();
   /// CanSend() returned false on a live stream: start (or continue) the
@@ -272,6 +313,7 @@ class MuxStream : public ChannelEndpoint {
   std::weak_ptr<void> group_alive_;
   ControlChannel* slot_;
   std::size_t slot_index_;
+  std::size_t rot_pos_ = 0;  ///< position in the slot's dispatch rotation
   std::uint32_t id_;
   Callbacks callbacks_;
   bool dead_ = false;

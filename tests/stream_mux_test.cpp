@@ -3,14 +3,19 @@
 // per-stream credit window parking bulk streams without starving
 // cohabitants, bit-exactness of the classic path when the tier is off,
 // mid-flight teardown of a muxed socket, virtual kill/resume of one
-// stream on a shared QP — plus a seeds x profiles x widths property sweep
+// stream on a shared QP, a cohabitant destroyed from inside a dispatch
+// round, dispatch wake order checked against a full-rotation scan — plus
+// a seeds x profiles x widths property sweep
 // asserting that dedicated and muxed transports deliver byte-identical
 // per-stream payloads, all under the invariant checker's mux conservation
 // rules (CheckMuxGroupPair).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -448,6 +453,367 @@ TEST(StreamMuxTest, AcceptorQpPoolAdmitsOverSharedQps) {
         << "engine-accepted muxed stream " << i;
   }
   ExpectCleanMuxPair(client_group, acceptor.qp_pool()->group());
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch rounds, driven stream by stream.
+// ---------------------------------------------------------------------------
+
+/// One shared slot carrying raw MuxStreams, no sockets, so a test decides
+/// when each stream parks (CanSend() on a dry slot), when it sends (one
+/// control message, which unparks it) and what it does when woken.  Node
+/// 0's streams send; node 1's streams only return credits, and Kick() has
+/// one of them send a control message so its owed credits — and hence a
+/// node-0 dispatch round — come back on demand.
+class SlotScript {
+ public:
+  explicit SlotScript(std::uint32_t qp_credits)
+      : sim_(HardwareProfile::FdrInfiniBand(), /*seed=*/48) {
+    MuxOptions mopts;
+    mopts.width = 1;
+    mopts.qp_credits = qp_credits;
+    g0_ = std::make_unique<MuxGroup>(sim_.device(0), mopts);
+    g1_ = std::make_unique<MuxGroup>(sim_.device(1), mopts);
+    MuxGroup::Connect(*g0_, *g1_);
+  }
+
+  /// Called from a node-0 stream's on_credit_available.
+  std::function<void(std::uint32_t)> on_wake;
+  /// Called after each attach / detach, in rotation terms.
+  std::function<void(std::uint32_t)> on_attach;
+  std::function<void()> on_detach;
+
+  std::uint32_t Attach() {
+    std::uint32_t id = g0_->AllocateStreamId();
+    std::unique_ptr<MuxStream> tx = g0_->AttachStream(id);
+    ChannelEndpoint::Callbacks cb;
+    cb.on_credit_available = [this, id] { on_wake(id); };
+    tx->set_callbacks(std::move(cb));
+    tx_[id] = std::move(tx);
+    rx_[id] = g1_->AttachStream(id);
+    if (on_attach) on_attach(id);
+    return id;
+  }
+
+  void Detach(std::uint32_t id) {
+    tx_.erase(id);
+    rx_.erase(id);
+    if (on_detach) on_detach();
+  }
+
+  /// Send one control message from node-0 stream `id` if it may; a stream
+  /// that may not is parked by the refusal, as a socket pump's would be.
+  bool TrySend(std::uint32_t id) {
+    MuxStream* s = tx_.at(id).get();
+    if (!s->CanSend()) return false;
+    wire::ControlMessage msg;
+    msg.type = static_cast<std::uint8_t>(wire::ControlType::kAck);
+    s->SendControl(msg);
+    return true;
+  }
+
+  /// Spend the slot's shared credits from randomly chosen live streams.
+  void Drain(Rng& rng) {
+    std::vector<std::uint32_t> live = LiveIds();
+    while (!live.empty() && g0_->slot(0).CanSend()) {
+      TrySend(live[rng.NextBelow(live.size())]);
+    }
+  }
+
+  /// Return node 1's owed credits by piggyback, if it can send.
+  void Kick() {
+    for (auto& [id, rx] : rx_) {
+      if (rx->dead()) continue;
+      if (rx->CanSend()) {
+        wire::ControlMessage msg;
+        msg.type = static_cast<std::uint8_t>(wire::ControlType::kAck);
+        rx->SendControl(msg);
+      }
+      return;
+    }
+  }
+
+  bool SlotDry() const {
+    return g0_->slot(0).dead() || !g0_->slot(0).CanSend();
+  }
+
+  std::vector<std::uint32_t> Ids() const {
+    return IdsWhere([](const MuxStream&) { return true; });
+  }
+  std::vector<std::uint32_t> LiveIds() const {
+    return IdsWhere([](const MuxStream& s) { return !s.dead(); });
+  }
+  std::vector<std::uint32_t> DeadIds() const {
+    return IdsWhere([](const MuxStream& s) { return s.dead(); });
+  }
+
+  Simulation& sim() { return sim_; }
+  MuxGroup& g0() { return *g0_; }
+  MuxGroup& g1() { return *g1_; }
+  MuxStream* tx(std::uint32_t id) { return tx_.at(id).get(); }
+  const std::map<std::uint32_t, std::unique_ptr<MuxStream>>& streams() const {
+    return tx_;
+  }
+
+ private:
+  template <typename Pred>
+  std::vector<std::uint32_t> IdsWhere(Pred pred) const {
+    std::vector<std::uint32_t> ids;
+    for (const auto& [id, s] : tx_) {
+      if (pred(*s)) ids.push_back(id);
+    }
+    return ids;
+  }
+
+  Simulation sim_;
+  std::unique_ptr<MuxGroup> g0_, g1_;
+  std::map<std::uint32_t, std::unique_ptr<MuxStream>> tx_, rx_;
+};
+
+// A woken stream's pump destroys cohabitants mid-round, enough of them to
+// cross the rotation's compaction threshold.  Compaction must wait for the
+// round to end: the round goes on to wake each surviving parked stream
+// exactly once and never a destroyed one, and the next round walks the
+// compacted rotation from its head.
+TEST(StreamMuxTest, CohabitantDestroyedMidRoundDefersCompaction) {
+  SlotScript script(/*qp_credits=*/8);
+  std::vector<std::uint32_t> ids;
+  for (int i = 0; i < 8; ++i) ids.push_back(script.Attach());
+  std::vector<std::uint32_t> woken;
+  script.on_wake = [&](std::uint32_t id) {
+    woken.push_back(id);
+    // The first wake tears down five of its seven cohabitants — the last
+    // stream in the rotation among them — leaving ids[3] and ids[5].
+    if (woken.size() == 1) {
+      for (std::size_t i : {1, 2, 4, 6, 7}) script.Detach(ids[i]);
+    }
+  };
+
+  Rng rng(3);
+  script.Drain(rng);
+  for (std::uint32_t id : ids) EXPECT_FALSE(script.TrySend(id));
+  for (std::uint32_t id : ids) ASSERT_TRUE(script.tx(id)->parked());
+  script.sim().Run();
+
+  EXPECT_EQ(woken, (std::vector<std::uint32_t>{ids[0], ids[3], ids[5]}));
+  EXPECT_EQ(script.g0().AttachedStreams(), 3u);
+
+  // Still parked, so the next round wakes all three in rotation order.
+  woken.clear();
+  script.Kick();
+  script.sim().Run();
+  EXPECT_EQ(woken, (std::vector<std::uint32_t>{ids[0], ids[3], ids[5]}));
+  EXPECT_EQ(script.g0().stats().dispatch_wakes, 6u);
+  ExpectCleanMuxPair(script.g0(), script.g1());
+}
+
+/// The dispatch rotation as the full scan walks it — every attached stream
+/// in attach order, each looked up and tested for being parked and live —
+/// kept in lockstep with a MuxGroup slot.  Round starts are external
+/// (credit arrivals), so the reference learns of them from the group's
+/// dispatch_rounds; everything a round then does — which streams it wakes
+/// in which order, where it stops and where the next round starts — it
+/// predicts itself.  Detached ids stay in the rotation until holes
+/// outnumber streams; compaction waits for the end of a round.
+class FullScanReference {
+ public:
+  explicit FullScanReference(SlotScript& script) : script_(script) {}
+
+  void Attach(std::uint32_t id) { rotation_.push_back(id); }
+  void Detach() {
+    ++holes_;
+    if (!open_) MaybeCompact();
+  }
+
+  /// The group woke `id` during its round number `group_round`.
+  void Wake(std::uint32_t id, std::uint64_t group_round) {
+    if (!open_) {
+      CatchUp(group_round - 1);
+      ++rounds_;
+      open_ = true;
+      n_ = rotation_.size();
+      start_ = cursor_ % n_;
+      k_ = 0;
+    }
+    std::optional<std::uint32_t> expect = Scan();
+    predicted_.push_back({rounds_, expect.value_or(kNone)});
+    woken_.push_back({group_round, id});
+    ++wakes_;
+    if (!expect) open_ = false;  // a wake the scan has no stream for
+  }
+
+  /// The woken stream's pump returned; `slot_dry` is the group's mid-round
+  /// exit test.
+  void AfterWake(bool slot_dry) {
+    if (!open_) return;
+    if (slot_dry) {
+      cursor_ = ((start_ + k_) % n_ + 1) % n_;
+      ++early_exits_;
+      Close();
+      return;
+    }
+    ++k_;
+    if (!Scan()) {
+      cursor_ = (start_ + 1) % n_;
+      Close();
+    }
+  }
+
+  /// Account the group's rounds up to `group_rounds` that woke nobody:
+  /// each must have found nothing parked, and moves the cursor by one.
+  /// Nothing parks between rounds without a script step, so "now" is
+  /// what those rounds saw.
+  void CatchUp(std::uint64_t group_rounds) {
+    while (rounds_ < group_rounds) {
+      ++rounds_;
+      ++idle_rounds_;
+      for (std::uint32_t id : rotation_) {
+        if (Parked(id)) ++idle_rounds_with_parked_;
+      }
+      cursor_ = (cursor_ % rotation_.size() + 1) % rotation_.size();
+    }
+  }
+
+  bool open() const { return open_; }
+  std::uint64_t rounds() const { return rounds_; }
+  std::uint64_t wakes() const { return wakes_; }
+  std::uint64_t early_exits() const { return early_exits_; }
+  std::uint64_t idle_rounds() const { return idle_rounds_; }
+  std::uint64_t idle_rounds_with_parked() const {
+    return idle_rounds_with_parked_;
+  }
+  std::uint64_t compactions() const { return compactions_; }
+  std::uint64_t deferred_compactions() const { return deferred_; }
+  /// (round, stream) per wake: what the group did, what the scan predicts.
+  const std::vector<std::pair<std::uint64_t, std::uint32_t>>& woken() const {
+    return woken_;
+  }
+  const std::vector<std::pair<std::uint64_t, std::uint32_t>>& predicted()
+      const {
+    return predicted_;
+  }
+
+ private:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  bool Parked(std::uint32_t id) const {
+    auto it = script_.streams().find(id);
+    return it != script_.streams().end() && it->second->parked() &&
+           !it->second->dead();
+  }
+  /// Advance the open round to its next parked stream, if any.
+  std::optional<std::uint32_t> Scan() {
+    for (; k_ < n_; ++k_) {
+      std::uint32_t id = rotation_[(start_ + k_) % n_];
+      if (Parked(id)) return id;
+    }
+    return std::nullopt;
+  }
+  void Close() {
+    open_ = false;
+    if (holes_ * 2 > rotation_.size()) ++deferred_;
+    MaybeCompact();
+  }
+  void MaybeCompact() {
+    if (holes_ * 2 <= rotation_.size()) return;
+    std::erase_if(rotation_, [this](std::uint32_t id) {
+      return script_.streams().count(id) == 0;
+    });
+    holes_ = 0;
+    cursor_ = 0;
+    ++compactions_;
+  }
+
+  SlotScript& script_;
+  std::vector<std::uint32_t> rotation_;
+  std::size_t holes_ = 0;
+  std::size_t cursor_ = 0;
+  bool open_ = false;
+  std::size_t n_ = 0, start_ = 0, k_ = 0;  ///< the open round
+  std::uint64_t rounds_ = 0, wakes_ = 0, early_exits_ = 0, idle_rounds_ = 0;
+  std::uint64_t idle_rounds_with_parked_ = 0, compactions_ = 0, deferred_ = 0;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> woken_, predicted_;
+};
+
+// ~200 streams on one slot follow a seeded script of parks, unparks,
+// virtual kills, revives, attaches and detaches — between rounds and from
+// inside woken pumps — and the group's wakes must match the full-rotation
+// scan's wake for wake, round for round.
+TEST(StreamMuxTest, DispatchWakesMatchFullRotationScan) {
+  SlotScript script(/*qp_credits=*/32);
+  FullScanReference ref(script);
+  script.on_attach = [&](std::uint32_t id) { ref.Attach(id); };
+  script.on_detach = [&] { ref.Detach(); };
+  Rng rng(0x5eed);
+
+  auto pick = [&](const std::vector<std::uint32_t>& ids) {
+    return ids[rng.NextBelow(ids.size())];
+  };
+  script.on_wake = [&](std::uint32_t self) {
+    ref.Wake(self, script.g0().stats().dispatch_rounds);
+    EXPECT_EQ(script.g0().stats().dispatch_wakes, ref.wakes());
+    double u = rng.NextDouble();
+    if (u < 0.45) {
+      script.TrySend(self);  // unpark; may run the slot dry
+      if (rng.NextBool(0.3)) script.TrySend(self);
+    }
+    std::vector<std::uint32_t> live = script.LiveIds();
+    if (!live.empty() && rng.NextBool(0.15)) {
+      // Mid-round park: a stream without deficit is refused, ahead of the
+      // scan or behind it.
+      script.tx(pick(live))->CanSend();
+    }
+    if (!live.empty() && rng.NextBool(0.05)) script.tx(pick(live))->Kill();
+    std::vector<std::uint32_t> dead = script.DeadIds();
+    if (!dead.empty() && rng.NextBool(0.05)) script.tx(pick(dead))->Revive();
+    if (rng.NextBool(0.08)) {
+      std::uint32_t victim = pick(script.Ids());  // never empty: self
+      if (victim != self) script.Detach(victim);
+    }
+    if (rng.NextBool(0.03)) script.tx(script.Attach())->CanSend();
+    ref.AfterWake(script.SlotDry());
+  };
+
+  for (int i = 0; i < 200; ++i) script.Attach();
+  for (int step = 0; step < 120; ++step) {
+    for (std::uint64_t i = rng.NextBelow(4); i > 0; --i) script.Attach();
+    for (std::uint64_t i = rng.NextBelow(7); i > 0; --i) {
+      std::vector<std::uint32_t> ids = script.LiveIds();
+      if (ids.size() > 8) script.Detach(pick(ids));
+    }
+    for (std::uint64_t i = rng.NextBelow(3); i > 0; --i) {
+      std::vector<std::uint32_t> live = script.LiveIds();
+      if (!live.empty()) script.tx(pick(live))->Kill();
+    }
+    for (std::uint64_t i = rng.NextBelow(3); i > 0; --i) {
+      std::vector<std::uint32_t> dead = script.DeadIds();
+      if (!dead.empty()) script.tx(pick(dead))->Revive();
+    }
+    script.Drain(rng);
+    for (std::uint32_t id : script.LiveIds()) {
+      if (rng.NextBool(0.4)) script.TrySend(id);  // refused: parks
+    }
+    script.Kick();
+    script.sim().Run();
+    EXPECT_FALSE(ref.open()) << "step " << step
+                             << ": the scan predicts a wake the group "
+                                "never made";
+    ref.CatchUp(script.g0().stats().dispatch_rounds);
+  }
+
+  EXPECT_EQ(ref.woken(), ref.predicted());
+  EXPECT_EQ(script.g0().stats().dispatch_rounds, ref.rounds());
+  EXPECT_EQ(script.g0().stats().dispatch_wakes, ref.wakes());
+  EXPECT_EQ(ref.idle_rounds_with_parked(), 0u);
+  // The script reached every path the equivalence is about.
+  EXPECT_GT(ref.wakes(), 1000u);
+  EXPECT_GT(ref.early_exits(), 0u);
+  EXPECT_GT(ref.idle_rounds(), 0u);
+  EXPECT_GT(ref.compactions(), 1u);
+  EXPECT_GT(ref.deferred_compactions(), 0u);
+  EXPECT_GT(script.g0().stats().virtual_kills, 0u);
+  EXPECT_GT(script.g0().stats().revives, 0u);
+  ExpectCleanMuxPair(script.g0(), script.g1());
 }
 
 // ---------------------------------------------------------------------------
