@@ -34,6 +34,43 @@ void BM_SchedulerEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerEventThroughput);
 
+// Events whose capture is shaped like QueuePair's `[this, peer, pkt]`: a
+// shared_ptr plus two words, so scheduling copies a refcounted pointer.
+void BM_SchedulerFatCapture(benchmark::State& state) {
+  auto pkt = std::make_shared<std::uint64_t>(1);
+  for (auto _ : state) {
+    simnet::EventScheduler sched;
+    std::uint64_t count = 0;
+    for (int i = 0; i < 1000; ++i) {
+      sched.ScheduleAt(i, [&count, pkt, word = static_cast<std::uint64_t>(i)] {
+        count += *pkt + word;
+      });
+    }
+    sched.Run();
+    benchmark::DoNotOptimize(count);
+  }
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_SchedulerFatCapture);
+
+// Half of the scheduled events are cancelled before they run, the shape
+// of coalescing flush timers that a later send usually pre-empts.
+void BM_SchedulerCancelHeavy(benchmark::State& state) {
+  std::vector<simnet::EventHandle> handles(1000);
+  for (auto _ : state) {
+    simnet::EventScheduler sched;
+    std::uint64_t count = 0;
+    for (int i = 0; i < 1000; ++i) {
+      handles[i] = sched.ScheduleAt(i, [&count] { ++count; });
+    }
+    for (int i = 0; i < 1000; i += 2) handles[i].Cancel();
+    sched.Run();
+    benchmark::DoNotOptimize(count);
+  }
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_SchedulerCancelHeavy);
+
 void BM_CpuTaskChain(benchmark::State& state) {
   for (auto _ : state) {
     simnet::EventScheduler sched;

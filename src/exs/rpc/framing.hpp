@@ -86,12 +86,18 @@ struct MessageView {
   }
 };
 
-/// Encode a whole message (header + key + value) into one owned buffer.
-std::vector<std::uint8_t> EncodeMessage(MessageType type, std::uint8_t op,
-                                        std::uint64_t correlation_id,
-                                        const std::string& key,
-                                        const std::uint8_t* value,
-                                        std::uint32_t value_len);
+/// Wire size of a message carrying `key_len` key and `value_len` value
+/// bytes.
+inline std::size_t MessageBytes(std::size_t key_len, std::uint32_t value_len) {
+  return kHeaderBytes + key_len + value_len;
+}
+
+/// Encode a whole message (header + key + value) into exactly
+/// MessageBytes() bytes at `out`.
+void EncodeMessage(MessageType type, std::uint8_t op,
+                   std::uint64_t correlation_id, const std::string& key,
+                   const std::uint8_t* value, std::uint32_t value_len,
+                   std::uint8_t* out);
 
 /// Incremental frame decoder: feed it byte runs as they arrive, get one
 /// callback per complete message.  Never throws on malformed input —

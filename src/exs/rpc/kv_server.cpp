@@ -76,9 +76,11 @@ std::uint64_t KvServer::keys_stored() const {
 }
 
 void KvServer::OnAccept(Socket& socket) {
-  auto conn = std::make_unique<Conn>();
+  auto conn = std::make_unique<Conn>(socket);
   Conn* raw = conn.get();
-  raw->socket = &socket;
+  // The slab is what GET responses gather from: register it with the
+  // connection once, so no response registers memory.
+  if (slab_.bytes() != 0) socket.RegisterMemory(slab_.Data(0), slab_.bytes());
   raw->recv_buffer.resize(options_.recv_chunk_bytes);
   raw->decoder = std::make_unique<FrameDecoder>(
       [this, raw](const MessageView& v) { OnRequest(*raw, v); },
@@ -101,12 +103,9 @@ void KvServer::HandleEvent(Socket& socket, const Event& ev) {
   Conn& conn = *it->second;
   switch (ev.type) {
     case EventType::kSendComplete: {
-      auto send = conn.sends.find(ev.id);
-      if (send != conn.sends.end()) {
-        if (send->second.pinned_slot >= 0) {
-          slab_.Unpin(send->second.pinned_slot);
-        }
-        conn.sends.erase(send);
+      std::int32_t pinned_slot = -1;
+      if (conn.frames.Complete(ev.id, &pinned_slot) && pinned_slot >= 0) {
+        slab_.Unpin(pinned_slot);
       }
       MaybeReap(socket, conn);
       break;
@@ -213,31 +212,27 @@ void KvServer::Respond(Conn& conn, std::uint64_t correlation_id, Status status,
   }
   stats_.response_bytes += kHeaderBytes + h.value_len;
 
-  PendingSend send;
-  std::uint64_t send_id = 0;
   if (value_slot >= 0 && options_.sendv_responses) {
     // Gather header + slab slot in one Sendv: no host copy of the value,
     // one completion.  The slot stays pinned until that completion.
-    send.data.resize(kHeaderBytes);
-    EncodeHeader(h, send.data.data());
+    std::uint8_t* header = conn.frames.Stage(kHeaderBytes);
+    EncodeHeader(h, header);
     slab_.Pin(value_slot);
-    send.pinned_slot = value_slot;
     Socket::IoSlice iov[2] = {
-        {send.data.data(), kHeaderBytes},
+        {header, kHeaderBytes},
         {slab_.Data(value_slot), h.value_len},
     };
     ++stats_.sendv_responses;
-    send_id = conn.socket->Sendv(iov, h.value_len != 0 ? 2u : 1u);
+    conn.frames.Commit(conn.socket->Sendv(iov, h.value_len != 0 ? 2u : 1u),
+                       value_slot);
   } else {
-    send.data.resize(kHeaderBytes + h.value_len);
-    EncodeHeader(h, send.data.data());
+    std::uint8_t* frame = conn.frames.Stage(kHeaderBytes + h.value_len);
+    EncodeHeader(h, frame);
     if (value_slot >= 0 && h.value_len != 0) {
-      std::memcpy(send.data.data() + kHeaderBytes, slab_.Data(value_slot),
-                  h.value_len);
+      std::memcpy(frame + kHeaderBytes, slab_.Data(value_slot), h.value_len);
     }
-    send_id = conn.socket->Send(send.data.data(), send.data.size());
+    conn.frames.Commit(conn.socket->Send(frame, kHeaderBytes + h.value_len));
   }
-  conn.sends.emplace(send_id, std::move(send));
 }
 
 void KvServer::PostRecv(Conn& conn) {
@@ -249,7 +244,9 @@ void KvServer::PostRecv(Conn& conn) {
 void KvServer::MaybeReap(Socket& socket, Conn& conn) {
   // Once the peer closed and every response flushed, close our sending
   // side (the peer sees end-of-stream) and drop the connection state.
-  if (!conn.peer_closed || !conn.sends.empty() || conn.closed) return;
+  if (!conn.peer_closed || conn.frames.in_flight() != 0 || conn.closed) {
+    return;
+  }
   conn.closed = true;
   if (!socket.CloseRequested()) socket.Close();
   ++stats_.connections_closed;

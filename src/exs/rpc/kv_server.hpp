@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "exs/rpc/frame_pool.hpp"
 #include "exs/rpc/framing.hpp"
 #include "exs/rpc/ledger.hpp"
 #include "exs/socket.hpp"
@@ -49,6 +50,8 @@ class ValueSlab {
   void Pin(std::int32_t slot);
   void Unpin(std::int32_t slot);
 
+  /// Size of the whole arena (every slot), for registering it once.
+  std::size_t bytes() const { return arena_.size(); }
   std::uint8_t* Data(std::int32_t slot) {
     return arena_.data() + static_cast<std::size_t>(slot) * slot_bytes_;
   }
@@ -129,15 +132,14 @@ class KvServer {
   std::uint64_t live_connections() const { return conns_.size(); }
 
  private:
-  struct PendingSend {
-    std::vector<std::uint8_t> data;  ///< header (+ inline value w/o sendv)
-    std::int32_t pinned_slot = -1;
-  };
   struct Conn {
-    Socket* socket = nullptr;
+    explicit Conn(Socket& s) : socket(&s), frames(s) {}
+    Socket* socket;
     std::unique_ptr<FrameDecoder> decoder;
     std::vector<std::uint8_t> recv_buffer;
-    std::unordered_map<std::uint64_t, PendingSend> sends;  ///< by send id
+    /// Response headers (and flattened values); a send's tag is the slab
+    /// slot it pins, or -1.
+    FramePool frames;
     bool recv_outstanding = false;
     bool peer_closed = false;
     bool closed = false;

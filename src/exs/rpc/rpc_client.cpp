@@ -7,6 +7,7 @@ RpcClient::RpcClient(Socket& socket, simnet::EventScheduler& scheduler,
     : socket_(&socket),
       scheduler_(&scheduler),
       options_(options),
+      frames_(socket),
       decoder_([this](const MessageView& v) { OnMessage(v); },
                [this](const std::string&) { framing_failed_ = true; }),
       recv_buffer_(options.recv_chunk_bytes) {
@@ -34,15 +35,15 @@ std::uint64_t RpcClient::Call(Op op, const std::string& key,
     }
     return id;
   }
-  std::vector<std::uint8_t> frame = EncodeMessage(
-      MessageType::kRequest, static_cast<std::uint8_t>(op), id, key, value,
-      value_len);
+  const std::size_t frame_bytes = MessageBytes(key.size(), value_len);
+  std::uint8_t* frame = frames_.Stage(frame_bytes);
+  EncodeMessage(MessageType::kRequest, static_cast<std::uint8_t>(op), id, key,
+                value, value_len, frame);
   PendingCall call;
   call.issued_at = scheduler_->Now();
   call.on_done = std::move(on_done);
   pending_.emplace(id, std::move(call));
-  const std::uint64_t send_id = socket_->Send(frame.data(), frame.size());
-  send_buffers_.emplace(send_id, std::move(frame));
+  frames_.Commit(socket_->Send(frame, frame_bytes));
   if (deadline > 0) {
     scheduler_->ScheduleAfter(deadline, [this, id] { OnDeadline(id); });
   }
@@ -65,7 +66,7 @@ void RpcClient::CloseSend() {
 void RpcClient::OnEvent(const Event& ev) {
   switch (ev.type) {
     case EventType::kSendComplete:
-      send_buffers_.erase(ev.id);
+      frames_.Complete(ev.id);
       break;
     case EventType::kRecvComplete:
       recv_outstanding_ = false;

@@ -6,13 +6,16 @@
 // correlation id, so the server may interleave work across pipelined
 // requests freely (it does not today, but the protocol permits it).
 //
+// Request frames are encoded into a FramePool: buffers registered with
+// the socket once, at their capacity, and recycled when their send
+// completes, so a call neither allocates a frame nor registers memory.
+//
 // Deadlines use the simulator's timer wheel with *lazy cancellation*: a
 // response arriving first resolves the call and the timer later fires as
-// a no-op, which needs no cancellation support from the scheduler and
-// keeps the hot path allocation-free.  The conservation rule (see
-// ledger.hpp) is enforced at the single resolution point: whichever of
-// {response, deadline, explicit cancel, local shed} reaches the call
-// first records its outcome; everything after is counted stale.
+// a no-op, so no cancellation handle is kept per call.  The conservation
+// rule (see ledger.hpp) is enforced at the single resolution point:
+// whichever of {response, deadline, explicit cancel, local shed} reaches
+// the call first records its outcome; everything after is counted stale.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "exs/rpc/frame_pool.hpp"
 #include "exs/rpc/framing.hpp"
 #include "exs/rpc/ledger.hpp"
 #include "exs/socket.hpp"
@@ -97,6 +101,7 @@ class RpcClient {
   }
   std::uint64_t response_bytes() const { return response_bytes_; }
   bool framing_failed() const { return framing_failed_; }
+  const FramePool& frames() const { return frames_; }
 
  private:
   struct PendingCall {
@@ -116,7 +121,7 @@ class RpcClient {
   RpcClientOptions options_;
   RpcLedger ledger_;
   std::unordered_map<std::uint64_t, PendingCall> pending_;  ///< by corr id
-  std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> send_buffers_;
+  FramePool frames_;  ///< request frames, registered once and recycled
   FrameDecoder decoder_;
   std::vector<std::uint8_t> recv_buffer_;
   std::vector<SimDuration> answer_latencies_;

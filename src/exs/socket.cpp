@@ -356,7 +356,12 @@ void Socket::ConnectPair(Socket& a, Socket& b) {
 
 verbs::MemoryRegionPtr Socket::RegisterMemory(void* addr, std::size_t len) {
   auto mr = device_->RegisterMemory(addr, len);
-  regions_by_start_.emplace(reinterpret_cast<std::uint64_t>(addr), mr);
+  // A region registered where an earlier one started (a longer buffer
+  // reallocated where a freed shorter one lived) replaces it in the lookup.
+  // The superseded region stays registered with the device: in-flight work
+  // requests may still carry its lkey.
+  regions_by_start_.insert_or_assign(reinterpret_cast<std::uint64_t>(addr),
+                                     mr);
   return mr;
 }
 

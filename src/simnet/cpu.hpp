@@ -10,9 +10,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -59,14 +58,15 @@ class Cpu {
   void InjectStall(SimDuration stall) {
     EXS_CHECK(stall >= 0);
     ++stalls_injected_;
-    tasks_.push_back(Task{stall, nullptr});
+    tasks_.Push(stall, nullptr);
     if (!running_) StartNext();
   }
   std::uint64_t StallsInjected() const { return stalls_injected_; }
 
   /// Enqueue `work` to run after the CPU has been busy for `cost`.  The
   /// callback executes at the task's completion instant.
-  void Submit(SimDuration cost, std::function<void()> work) {
+  template <typename F>
+  void Submit(SimDuration cost, F&& work) {
     EXS_CHECK(cost >= 0);
     if (jitter_ > 0.0 && cost > 0) {
       double factor = 1.0 + jitter_ * (2.0 * rng_.NextDouble() - 1.0);
@@ -76,7 +76,7 @@ class Cpu {
       cost = static_cast<SimDuration>(static_cast<double>(cost) *
                                       cost_factor_);
     }
-    tasks_.push_back(Task{cost, std::move(work)});
+    tasks_.Push(cost, std::forward<F>(work));
     if (!running_) StartNext();
   }
 
@@ -97,30 +97,71 @@ class Cpu {
 
  private:
   struct Task {
-    SimDuration cost;
-    std::function<void()> work;
+    SimDuration cost = 0;
+    Callback work;
+  };
+
+  /// FIFO of waiting tasks on a power-of-two ring that only ever grows, so
+  /// a steady task stream allocates nothing.
+  class TaskRing {
+   public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+
+    template <typename F>
+    void Push(SimDuration cost, F&& work) {
+      if (size_ == ring_.size()) Grow();
+      Task& task = ring_[(head_ + size_) & (ring_.size() - 1)];
+      task.cost = cost;
+      task.work = std::forward<F>(work);
+      ++size_;
+    }
+
+    /// Move the oldest task into `out`.
+    void PopInto(Task& out) {
+      out = std::move(ring_[head_]);
+      head_ = (head_ + 1) & (ring_.size() - 1);
+      --size_;
+    }
+
+   private:
+    void Grow() {
+      std::vector<Task> bigger(ring_.empty() ? 16 : 2 * ring_.size());
+      for (std::size_t i = 0; i < size_; ++i) {
+        bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+      }
+      ring_ = std::move(bigger);
+      head_ = 0;
+    }
+
+    std::vector<Task> ring_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
   };
 
   void StartNext() {
     if (tasks_.empty()) {
       running_ = false;
+      current_.work.Reset();
       return;
     }
     running_ = true;
-    Task task = std::move(tasks_.front());
-    tasks_.pop_front();
-    scheduler_->ScheduleAfter(task.cost, [this, task = std::move(task)]() {
-      busy_ += task.cost;
-      ++completed_;
-      // Run the work before starting the next task so that work submitted
-      // from inside a callback lands behind already-queued tasks.
-      if (task.work) task.work();
-      StartNext();
-    });
+    tasks_.PopInto(current_);
+    scheduler_->ScheduleAfter(current_.cost, [this] { FinishCurrent(); });
+  }
+
+  void FinishCurrent() {
+    busy_ += current_.cost;
+    ++completed_;
+    // Run the work before starting the next task so that work submitted
+    // from inside a callback lands behind already-queued tasks.
+    if (current_.work) current_.work();
+    StartNext();
   }
 
   EventScheduler* scheduler_;
-  std::deque<Task> tasks_;
+  TaskRing tasks_;
+  Task current_;  ///< the running task, while running_
   double jitter_ = 0.0;
   double cost_factor_ = 1.0;
   Rng rng_;

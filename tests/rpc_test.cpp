@@ -53,11 +53,11 @@ TEST(Framing, DecoderReassemblesAcrossArbitrarySplits) {
     value[i] = static_cast<std::uint8_t>(i * 7 + 1);
   }
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    auto frame = EncodeMessage(MessageType::kRequest,
-                               static_cast<std::uint8_t>(Op::kPut), i + 1,
-                               keys[i], value.data(),
-                               static_cast<std::uint32_t>(value.size()));
-    stream.insert(stream.end(), frame.begin(), frame.end());
+    const auto value_len = static_cast<std::uint32_t>(value.size());
+    const std::size_t at = stream.size();
+    stream.resize(at + MessageBytes(keys[i].size(), value_len));
+    EncodeMessage(MessageType::kRequest, static_cast<std::uint8_t>(Op::kPut),
+                  i + 1, keys[i], value.data(), value_len, stream.data() + at);
   }
   // Feed one byte at a time — the cruellest split.
   std::vector<MessageView> seen_headers;
@@ -273,6 +273,89 @@ TEST(RpcKv, PinnedSlotSurvivesRacingDelete) {
   EXPECT_EQ(results[2].status, Status::kOk);
   EXPECT_EQ(f.server.slab().in_use(), 0u);   // zombie freed at completion
   EXPECT_EQ(f.server.slab().zombies(), 0u);
+  InvariantReport report = f.Check();
+  EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
+// Run `calls` pipelined PUT/GET/DEL calls over 8 keys with values of
+// every workload size class, `batch` at a time, draining between batches.
+void RunMixedCalls(Fixture& f, int calls, int batch) {
+  static constexpr std::uint32_t kSizes[] = {64, 256, 480, 17};
+  std::vector<std::uint8_t> value(480);
+  int answered = 0;
+  for (int done = 0; done < calls;) {
+    for (int i = 0; i < batch && done < calls; ++i, ++done) {
+      const std::string key = {'k', static_cast<char>('0' + done % 8)};
+      const std::uint32_t len = kSizes[done % 4];
+      const Op op = done % 3 == 0 ? Op::kPut
+                    : done % 3 == 1 ? Op::kGet
+                                    : Op::kDel;
+      loadgen::WorkloadGenerator::FillValue(key, value.data(), len);
+      f.client->Call(op, key, op == Op::kPut ? value.data() : nullptr,
+                     op == Op::kPut ? len : 0,
+                     [&](const RpcClient::Result& r) {
+                       EXPECT_EQ(r.outcome, Outcome::kAnswered);
+                       ++answered;
+                     });
+    }
+    f.sim.Run();
+  }
+  EXPECT_EQ(answered, calls);
+}
+
+TEST(RpcKv, RegisteredRegionsIndependentOfCallCount) {
+  RpcClientOptions copts;
+  copts.max_outstanding = 16;
+  Fixture f({}, copts);
+  RunMixedCalls(f, 2000, 16);
+  const std::size_t client_regions = f.sim.device(0).RegisteredRegionCount();
+  const std::size_t server_regions = f.sim.device(1).RegisteredRegionCount();
+  RunMixedCalls(f, 20000, 16);
+  EXPECT_EQ(f.sim.device(0).RegisteredRegionCount(), client_regions);
+  EXPECT_EQ(f.sim.device(1).RegisteredRegionCount(), server_regions);
+  // Frame buffers are recycled: never more than the calls in flight.
+  EXPECT_LE(f.client->frames().buffers(), copts.max_outstanding);
+  EXPECT_EQ(f.client->frames().in_flight(), 0u);
+  InvariantReport report = f.Check();
+  EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
+TEST(RpcKv, RecycledFramesRoundTripValuesAtMaxOutstanding) {
+  RpcClientOptions copts;
+  copts.max_outstanding = 16;
+  Fixture f({}, copts);
+  constexpr int kRounds = 40;
+  constexpr int kPairs = 8;  // PUT + GET per key: 16 calls in flight
+  int checked = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::vector<std::uint8_t>> values(kPairs);
+    for (int k = 0; k < kPairs; ++k) {
+      const std::string key = "key" + std::to_string(k);
+      // A value unique to (key, round), of a size that varies per round,
+      // so a frame buffer reused too early would corrupt a later one.
+      values[k].resize(1 + static_cast<std::size_t>((round * 37 + k * 11) %
+                                                    480));
+      for (std::size_t i = 0; i < values[k].size(); ++i) {
+        values[k][i] = static_cast<std::uint8_t>(round * 131 + k * 7 + i);
+      }
+      f.client->Call(Op::kPut, key, values[k].data(),
+                     static_cast<std::uint32_t>(values[k].size()),
+                     [&](const RpcClient::Result& r) {
+                       EXPECT_EQ(r.status, Status::kOk);
+                     });
+      f.client->Call(Op::kGet, key, nullptr, 0,
+                     [&, k](const RpcClient::Result& r) {
+                       ASSERT_EQ(r.status, Status::kOk);
+                       EXPECT_EQ(r.value, values[k]);
+                       ++checked;
+                     });
+    }
+    EXPECT_EQ(f.client->frames().in_flight(), 2u * kPairs);
+    f.sim.Run();
+  }
+  EXPECT_EQ(checked, kRounds * kPairs);
+  EXPECT_EQ(f.client->ledger().shed_local, 0u);
+  EXPECT_LE(f.client->frames().buffers(), copts.max_outstanding);
   InvariantReport report = f.Check();
   EXPECT_TRUE(report.ok()) << report.Summary();
 }

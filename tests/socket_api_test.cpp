@@ -54,6 +54,24 @@ TEST(SocketApi, RegistrationCoversSubranges) {
                InvariantViolation);
 }
 
+TEST(SocketApi, LongerRegistrationAtSameStartReplacesLookup) {
+  Simulation sim(HardwareProfile::FdrInfiniBand(), 4, true);
+  auto [a, b] = sim.CreateConnectedPair(SocketType::kStream);
+  std::vector<std::uint8_t> buf(256);
+  // A short buffer registered at this address, then a longer one where it
+  // lived: the longer registration must be the one Send finds.
+  a->RegisterMemory(buf.data(), 64);
+  a->RegisterMemory(buf.data(), buf.size());
+  const std::size_t regions = sim.device(0).RegisteredRegionCount();
+  std::vector<std::uint8_t> sink(2 * buf.size());
+  b->Recv(sink.data(), sink.size(), RecvFlags{.waitall = true});
+  a->Send(buf.data(), buf.size());
+  a->Send(buf.data(), buf.size());
+  sim.Run();
+  EXPECT_EQ(sim.device(0).RegisteredRegionCount(), regions);
+  EXPECT_EQ(b->stats().bytes_received, sink.size());
+}
+
 TEST(SocketApi, StatsAndIntrospectionExposed) {
   Simulation sim(HardwareProfile::FdrInfiniBand(), 5, false);
   auto [a, b] = sim.CreateConnectedPair(SocketType::kStream);
