@@ -1062,40 +1062,28 @@ InvariantReport CheckRpcConservation(
 std::uint64_t TraceFingerprint(const TraceLog& log) {
   // FNV-1a over every recorded field, in order.  Traces carry no memory
   // addresses, so the hash is stable across processes and ASLR.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
-  mix(log.events().size());
-  mix(log.dropped());
+  Fnv1a h;
+  h.Mix(log.events().size());
+  h.Mix(log.dropped());
   for (const auto& ev : log.events()) {
-    mix(static_cast<std::uint64_t>(ev.time));
-    mix(static_cast<std::uint64_t>(ev.type));
-    mix(ev.seq);
-    mix(ev.phase);
-    mix(ev.len);
-    mix(ev.msg_seq);
-    mix(ev.msg_phase);
+    h.Mix(static_cast<std::uint64_t>(ev.time));
+    h.Mix(static_cast<std::uint64_t>(ev.type));
+    h.Mix(ev.seq);
+    h.Mix(ev.phase);
+    h.Mix(ev.len);
+    h.Mix(ev.msg_seq);
+    h.Mix(ev.msg_phase);
   }
-  return h;
+  return h.value();
 }
 
 std::uint64_t ConnectionFingerprint(const Socket& a, const Socket& b) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
-  mix(TraceFingerprint(a.tx_trace()));
-  mix(TraceFingerprint(a.rx_trace()));
-  mix(TraceFingerprint(b.tx_trace()));
-  mix(TraceFingerprint(b.rx_trace()));
-  return h;
+  Fnv1a h;
+  h.Mix(TraceFingerprint(a.tx_trace()));
+  h.Mix(TraceFingerprint(a.rx_trace()));
+  h.Mix(TraceFingerprint(b.tx_trace()));
+  h.Mix(TraceFingerprint(b.rx_trace()));
+  return h.value();
 }
 
 }  // namespace exs

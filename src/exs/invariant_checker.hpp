@@ -28,6 +28,7 @@
 // determinism.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -179,6 +180,29 @@ InvariantReport CheckSpanConservation(const spans::SpanCollector& collector,
 InvariantReport CheckRpcConservation(
     const std::vector<const rpc::RpcLedger*>& clients,
     const rpc::RpcServerCounters* server = nullptr);
+
+/// Order-sensitive FNV-1a accumulator: the one mixer behind every
+/// fingerprint (traces, connections, and the torture harness's chains).
+class Fnv1a {
+ public:
+  /// Folds in the eight bytes of `v`, least significant first.
+  void Mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      MixByte(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+  void MixBytes(const std::uint8_t* data, std::size_t len) {
+    for (std::size_t i = 0; i < len; ++i) MixByte(data[i]);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void MixByte(std::uint8_t b) {
+    h_ ^= b;
+    h_ *= 0x100000001b3ull;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
 
 /// Order-sensitive FNV-1a hash over every recorded field of the trace.
 /// Two runs with identical protocol behaviour produce identical

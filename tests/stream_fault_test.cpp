@@ -3,8 +3,16 @@
 // stall bursts), each asserting full stream integrity AND a clean report
 // from the trace invariant checker — plus determinism and corpus-format
 // coverage for the seeded torture harness built on the same machinery.
+//
+// The torture golden corpus (tests/data/torture_golden.txt) pins every
+// mode's fingerprint; after an intentional behaviour change regenerate it
+// with
+//   EXS_UPDATE_GOLDEN=1 ./fault_test --gtest_filter='TortureGolden*'
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "common/pattern.hpp"
@@ -227,7 +235,7 @@ TEST(TortureHarnessTest, RunIsDeterministicByFingerprint) {
 
 TEST(TortureHarnessTest, AllProfilesAndModesPass) {
   for (const char* profile : {"fdr", "iwarp", "wan"}) {
-    for (const char* mode : {"dynamic", "direct", "indirect", "seqpacket"}) {
+    for (const std::string& mode : torture::ModeNames()) {
       torture::TortureConfig cfg;
       cfg.seed = 11;
       cfg.profile = profile;
@@ -251,6 +259,14 @@ TEST(TortureHarnessTest, CorpusEntryRoundTrips) {
   cfg.enable_faults = false;
   cfg.sabotage_advert_gate = true;
   cfg.expect_fingerprint = 0xdeadbeefull;
+  // Every mode-specific pin, so the key table cannot drop one.
+  cfg.rails = 3;
+  cfg.sched = "adaptive";
+  cfg.streams = 5;
+  cfg.width = 6;
+  cfg.kill_permille = 7;
+  cfg.batch = 8;
+  cfg.arity = 2;
 
   torture::TortureConfig parsed;
   ASSERT_TRUE(
@@ -266,6 +282,15 @@ TEST(TortureHarnessTest, CorpusEntryRoundTrips) {
   EXPECT_EQ(parsed.sabotage_stale_adverts, cfg.sabotage_stale_adverts);
   EXPECT_EQ(parsed.sabotage_advert_gate, cfg.sabotage_advert_gate);
   EXPECT_EQ(parsed.expect_fingerprint, cfg.expect_fingerprint);
+  EXPECT_EQ(parsed.rails, cfg.rails);
+  EXPECT_EQ(parsed.sched, cfg.sched);
+  EXPECT_EQ(parsed.streams, cfg.streams);
+  EXPECT_EQ(parsed.width, cfg.width);
+  EXPECT_EQ(parsed.kill_permille, cfg.kill_permille);
+  EXPECT_EQ(parsed.batch, cfg.batch);
+  EXPECT_EQ(parsed.arity, cfg.arity);
+  EXPECT_EQ(torture::EncodeCorpusEntry(parsed),
+            torture::EncodeCorpusEntry(cfg));
 
   torture::TortureConfig ignored;
   EXPECT_FALSE(torture::DecodeCorpusEntry("", &ignored));
@@ -273,6 +298,116 @@ TEST(TortureHarnessTest, CorpusEntryRoundTrips) {
   EXPECT_FALSE(torture::DecodeCorpusEntry("seed=1 mode=bogus", &ignored));
   EXPECT_FALSE(torture::DecodeCorpusEntry("mode=dynamic", &ignored))
       << "an entry without a seed is not replayable";
+  EXPECT_FALSE(torture::DecodeCorpusEntry("seed=1 sched=fifo", &ignored));
+  EXPECT_FALSE(torture::DecodeCorpusEntry("seed=1 bogus=1", &ignored));
+}
+
+// Recorded corpus lines decode and re-encode byte-identically, so a
+// corpus written by an older harness replays as the very same entry.
+TEST(TortureHarnessTest, CorpusFilesReencodeByteIdentically) {
+  for (const char* name : {"/torture_golden.txt", "/recovery_golden.txt"}) {
+    std::ifstream file(std::string(EXS_TEST_DATA_DIR) + name);
+    ASSERT_TRUE(file.good()) << name;
+    std::string line;
+    while (std::getline(file, line)) {
+      if (line.empty() || line[0] == '#') continue;
+      torture::TortureConfig cfg;
+      ASSERT_TRUE(torture::DecodeCorpusEntry(line, &cfg)) << line;
+      EXPECT_EQ(torture::EncodeCorpusEntry(cfg), line);
+    }
+  }
+}
+
+// Every mode honours the sabotage hooks, kill's twin legs included: a
+// sabotaged kill run must fail with checker findings.
+TEST(TortureHarnessTest, SabotagedKillRunIsCaught) {
+  for (bool stale : {true, false}) {
+    torture::TortureConfig cfg;
+    cfg.seed = 2;
+    cfg.mode = "kill";
+    cfg.sabotage_stale_adverts = stale;
+    cfg.sabotage_advert_gate = !stale;
+    torture::TortureResult res = torture::RunTorture(cfg);
+    EXPECT_FALSE(res.ok) << torture::EncodeCorpusEntry(cfg);
+    EXPECT_FALSE(res.checker_violations.empty())
+        << torture::EncodeCorpusEntry(cfg) << "\n" << res.Describe();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Recorded fingerprints for every torture mode on every profile (the
+// recovery_golden.txt convention): a refactor of the harness that changes
+// what any mode drives — an RNG draw, a fault-plan event, a socket option —
+// drifts a fingerprint here.  Each entry also runs twice in-process as the
+// determinism witness.
+// ---------------------------------------------------------------------------
+
+constexpr const char* kTortureCorpusPath =
+    EXS_TEST_DATA_DIR "/torture_golden.txt";
+
+std::vector<torture::TortureConfig> TortureGoldenConfigs() {
+  std::vector<torture::TortureConfig> cfgs;
+  for (const std::string& mode : torture::ModeNames()) {
+    for (const char* profile : {"fdr", "iwarp", "wan"}) {
+      for (std::uint64_t seed : {1, 6}) {
+        torture::TortureConfig cfg;
+        cfg.seed = seed;
+        cfg.mode = mode;
+        cfg.profile = profile;
+        cfgs.push_back(cfg);
+      }
+    }
+  }
+  // One entry per pinned corpus key, so the pins reach the drivers too.
+  auto pinned = [&cfgs](const char* mode, auto&& pin) {
+    torture::TortureConfig cfg;
+    cfg.seed = 3;
+    cfg.mode = mode;
+    pin(cfg);
+    cfgs.push_back(cfg);
+  };
+  pinned("stripe", [](auto& c) { c.rails = 2; c.sched = "rr"; });
+  pinned("kill", [](auto& c) { c.rails = 4; c.sched = "adaptive"; });
+  pinned("many", [](auto& c) { c.streams = 5; });
+  pinned("mux", [](auto& c) { c.streams = 3; c.width = 3; });
+  pinned("rpc", [](auto& c) { c.streams = 2; c.width = 2; });
+  pinned("kill", [](auto& c) { c.kill_permille = 450; });
+  pinned("batch", [](auto& c) { c.batch = 2; c.arity = 4; });
+  return cfgs;
+}
+
+TEST(TortureGolden, EveryModeMatchesCorpus) {
+  if (std::getenv("EXS_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream header(kTortureCorpusPath, std::ios::trunc);
+    ASSERT_TRUE(header.good()) << "cannot rewrite " << kTortureCorpusPath;
+    header << "# Torture fingerprints: every mode x profile at two seeds,\n"
+              "# plus one entry per pinned corpus key.  Regenerate with\n"
+              "# EXS_UPDATE_GOLDEN=1 (see stream_fault_test.cpp).\n";
+    header.close();
+    for (const torture::TortureConfig& cfg : TortureGoldenConfigs()) {
+      torture::TortureResult res = torture::RunTorture(cfg);
+      ASSERT_TRUE(res.ok) << torture::EncodeCorpusEntry(cfg) << "\n"
+                          << res.Describe();
+      torture::AppendCorpusEntry(kTortureCorpusPath, cfg, res.fingerprint);
+    }
+    GTEST_SKIP() << "corpus regenerated at " << kTortureCorpusPath;
+  }
+
+  std::vector<torture::TortureConfig> entries =
+      torture::LoadCorpus(kTortureCorpusPath);
+  ASSERT_FALSE(entries.empty());
+  for (const torture::TortureConfig& cfg : entries) {
+    torture::TortureResult first = torture::RunTorture(cfg);
+    torture::TortureResult second = torture::RunTorture(cfg);
+    EXPECT_TRUE(first.ok) << torture::EncodeCorpusEntry(cfg) << "\n"
+                          << first.Describe();
+    EXPECT_EQ(first.fingerprint, second.fingerprint)
+        << "nondeterministic run: " << torture::EncodeCorpusEntry(cfg);
+    EXPECT_EQ(first.fingerprint, cfg.expect_fingerprint)
+        << "torture run drifted from the recorded corpus entry: "
+        << torture::EncodeCorpusEntry(cfg)
+        << " (intentional change? regenerate with EXS_UPDATE_GOLDEN=1)";
+  }
 }
 
 }  // namespace

@@ -28,64 +28,26 @@ struct TortureConfig {
   /// Hardware profile: "fdr", "iwarp", or "wan" (RoCE through 24 ms of
   /// emulated one-way delay, the paper's distance experiment).
   std::string profile = "fdr";
-  /// Protocol mode: "dynamic", "direct", "indirect", "coalesce" (the
-  /// dynamic algorithm with StreamOptions::coalesce armed — staging buffer
-  /// plus ACK piggyback), "stripe" (multi-rail striping: the seed derives
-  /// rails ∈ {2,4}, an inner mode of dynamic or indirect, and the rail
-  /// scheduler, unless `rails`/`sched` pin them below) for stream
-  /// sockets, "seqpacket" (message socket), or "many" (the server engine:
-  /// N clients connect through the acceptor into one shared buffer pool /
-  /// SRQ slot pool and the progress engine drives every accepted socket;
-  /// the seed derives N from {4,8,16} unless `streams` pins it, and the
-  /// checker additionally replays pool conservation across all streams),
-  /// "kill" (the recovery equivalence harness: twin runs of one
-  /// seed-derived workload variant — classic dynamic, coalesce, or
-  /// striped — one unkilled and one with a fatal QP kill landing
-  /// mid-transfer followed by Socket::ResumePair; the run passes only if
-  /// both deliver the byte-identical stream, proven by comparing FNV
-  /// fingerprints of the delivered payloads), or "mux" (the shared-QP
-  /// multiplexing tier: N streams ride a MuxGroup slot pool of `width`
-  /// queue pairs per endpoint — the seed derives N ∈ {4,8,16}, width ∈
-  /// {1,2,4} and the per-stream window unless `streams`/`width` pin
-  /// them — and the checker additionally replays the mux conservation
-  /// laws: group data accounting, per-stream sequence continuity, and
-  /// per-slot credit conservation), or "batch" (the hot-path batching
-  /// stack armed in full — coalescing with sendv aggregation, doorbell
-  /// batching, and the MR registration cache — driven through vectored
-  /// Sendv postings; the seed derives the batch depth ∈ {2,4,8} and the
-  /// Sendv arity ∈ {1,2,4} unless `batch`/`arity` pin them, and the
-  /// checker additionally audits per-rail gather-byte and doorbell
-  /// conservation), or "rpc" (the RPC/KV tier: N RpcClients over a
-  /// shared MuxGroup slot pool drive one sharded KV server through
-  /// seeded Zipf/size-mixed request trains under a tight deadline, a
-  /// small pipeline bound, and a starved value slab — the seed derives
-  /// N ∈ {4,8,16}, width ∈ {1,2,4} and the train length unless
-  /// `streams`/`width` pin them, and the checker additionally replays
-  /// the RPC conservation law: exactly one terminal outcome per issued
-  /// call, stale responses never double-resolving, server counters
-  /// agreeing with the client ledgers).
+  /// Protocol mode: one row of the mode table in torture.cpp, which
+  /// derives each mode's options and shape from the seed and names its
+  /// driver.  ModeNames() lists the modes; docs/FAULTS.md describes them.
   std::string mode = "dynamic";
-  /// "stripe" mode only: rail count (0 = derive {2,4} from the seed).
+  // Mode-specific pins: 0 (or "") derives the axis from the seed.  Only
+  // pinned values are written to a corpus entry, so older corpus files
+  // round-trip byte-identically.
+  /// "stripe" and kill's striped variant: rail count {2,4}.
   std::uint32_t rails = 0;
-  /// "stripe" mode only: "rr" | "adaptive" ("" = derive from the seed).
+  /// "stripe" and kill's striped variant: "rr" | "adaptive".
   std::string sched;
-  /// "many"/"mux"/"rpc" modes: concurrent stream/client count (0 =
-  /// derive from the seed).
+  /// "many"/"mux"/"rpc": concurrent stream/client count {4,8,16}.
   std::uint32_t streams = 0;
-  /// "mux"/"rpc" modes: slot queue pairs per MuxGroup (0 = derive
-  /// {1,2,4} from the seed).  Encoded to a corpus entry only when
-  /// pinned, so older corpus files round-trip byte-identically.
+  /// "mux"/"rpc": slot queue pairs per MuxGroup {1,2,4}.
   std::uint32_t width = 0;
-  /// "kill" mode only: when (in permille of the fault horizon) the fatal
-  /// QP kill lands (0 = derive from the seed).  Encoded to a corpus entry
-  /// only when pinned, so older corpus files round-trip byte-identically.
+  /// "kill": when the fatal QP kill lands, in permille of the fault horizon.
   std::uint32_t kill_permille = 0;
-  /// "batch" mode only: WRs per doorbell ring (0 = derive {2,4,8} from
-  /// the seed).  Encoded to a corpus entry only when pinned, so older
-  /// corpus files round-trip byte-identically.
+  /// "batch": WRs per doorbell ring {2,4,8}.
   std::uint32_t batch = 0;
-  /// "batch" mode only: slices per vectored Sendv posting (0 = derive
-  /// {1,2,4} from the seed).  Encoded only when pinned, like `batch`.
+  /// "batch": slices per vectored Sendv posting {1,2,4}.
   std::uint32_t arity = 0;
   std::uint64_t total_bytes = 192 * 1024;
   std::uint64_t max_message = 24 * 1024;
@@ -129,8 +91,9 @@ struct TortureResult {
 /// Throws exs::InvariantViolation on an unknown name.
 simnet::HardwareProfile ResolveProfile(const std::string& name);
 
-/// True if `mode` names a valid protocol mode for TortureConfig.
-bool ValidMode(const std::string& mode);
+/// Every mode in table order; `default_sweep_only` keeps just the modes a
+/// bare `exs_torture` sweeps.
+std::vector<std::string> ModeNames(bool default_sweep_only = false);
 
 /// Execute one fully deterministic torture run.
 TortureResult RunTorture(const TortureConfig& cfg);

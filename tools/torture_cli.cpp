@@ -9,6 +9,7 @@
 // Every failing configuration is printed as a corpus line; `--replay` runs
 // each corpus entry twice and insists the trace fingerprints match each
 // other (and the recorded one, when present) — the determinism proof.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -24,16 +25,20 @@ namespace {
 using exs::torture::TortureConfig;
 using exs::torture::TortureResult;
 
+std::string Join(const std::vector<std::string>& names) {
+  std::string csv;
+  for (const std::string& name : names) csv += (csv.empty() ? "" : ",") + name;
+  return csv;
+}
+
 [[noreturn]] void Usage(const char* argv0) {
   std::printf(
       "usage: %s [options]\n"
       "  --seeds A..B     inclusive seed range (1..20)\n"
       "  --seed N         single seed (same as --seeds N..N)\n"
       "  --profiles CSV   subset of fdr,iwarp,wan (all)\n"
-      "  --modes CSV      subset of dynamic,direct,indirect,coalesce,\n"
-      "                   stripe,seqpacket,many,kill,mux,batch,rpc\n"
-      "                   (dynamic,direct,indirect,coalesce,stripe,kill,\n"
-      "                   mux,batch,rpc)\n"
+      "  --modes CSV      subset of %s\n"
+      "                   (%s)\n"
       "  --kill-permille N     kill mode: pin when the fatal QP kill\n"
       "                   lands, in permille of the fault horizon\n"
       "                   (0 = derive from the seed)\n"
@@ -61,7 +66,8 @@ using exs::torture::TortureResult;
       "  --expect-failure exit 0 only if the invariant checker fired at\n"
       "                   least once (proves the checker catches the bug)\n"
       "  --verbose        print every run, not just failures\n",
-      argv0);
+      argv0, Join(exs::torture::ModeNames()).c_str(),
+      Join(exs::torture::ModeNames(/*default_sweep_only=*/true)).c_str());
   std::exit(2);
 }
 
@@ -119,9 +125,8 @@ bool ParseSeedRange(const std::string& s, std::uint64_t* lo,
 int main(int argc, char** argv) {
   std::uint64_t seed_lo = 1, seed_hi = 20;
   std::vector<std::string> profiles = {"fdr", "iwarp", "wan"};
-  std::vector<std::string> modes = {"dynamic", "direct", "indirect",
-                                    "coalesce", "stripe", "kill", "mux",
-                                    "batch", "rpc"};
+  std::vector<std::string> modes =
+      exs::torture::ModeNames(/*default_sweep_only=*/true);
   TortureConfig base;
   std::string corpus_path;
   std::string replay_path;
@@ -237,9 +242,12 @@ int main(int argc, char** argv) {
         }
       }
     } else {
+      const std::vector<std::string> all_modes = exs::torture::ModeNames();
       for (const std::string& profile : profiles) {
         for (const std::string& mode : modes) {
-          if (!exs::torture::ValidMode(mode)) Usage(argv[0]);
+          if (std::ranges::find(all_modes, mode) == all_modes.end()) {
+            Usage(argv[0]);
+          }
           for (std::uint64_t seed = seed_lo; seed <= seed_hi; ++seed) {
             TortureConfig cfg = base;
             cfg.seed = seed;
