@@ -13,17 +13,16 @@
 namespace exs::bench {
 namespace {
 
-void Run(const Args& args) {
+void Run(const Args& args, Report& report) {
   PrintBanner(std::cout, "Ablation: ACK threshold",
               "indirect-only throughput vs ACK batching threshold", args);
-  Table table({"ack threshold", "1 MiB buffer Mb/s", "8 MiB buffer Mb/s",
-               "acks per MiB (1 MiB buffer)"});
+  report.Begin({{"ack threshold", "threshold_bytes"},
+                {"1 MiB buffer Mb/s", "buffer_1mib_mbps"},
+                {"8 MiB buffer Mb/s", "buffer_8mib_mbps"},
+                {"acks per MiB (1 MiB buffer)", "acks_per_mib"}});
   for (std::uint64_t thresh :
        {16 * kKiB, 64 * kKiB, 256 * kKiB, 512 * kKiB, 1 * kMiB}) {
-    std::string name = thresh >= kMiB
-                           ? std::to_string(thresh / kMiB) + " MiB"
-                           : std::to_string(thresh / kKiB) + " KiB";
-    std::vector<std::string> row = {name};
+    std::vector<Cell> row = {Shown(SizeName(thresh), thresh)};
     double acks_per_mib = 0.0;
     for (std::uint64_t buf : {1 * kMiB, 8 * kMiB}) {
       blast::BlastConfig c = FdrBaseConfig(args);
@@ -33,7 +32,7 @@ void Run(const Args& args) {
       c.stream.intermediate_buffer_bytes = buf;
       c.stream.ack_threshold_bytes = thresh;
       blast::BlastSummary s = blast::RunRepeated(c, args.runs);
-      row.push_back(FormatMetric(s.throughput_mbps, 0));
+      row.push_back(Mean(s.throughput_mbps, 0));
       if (buf == 1 * kMiB) {
         double total_acks = 0, total_bytes = 0;
         for (const auto& r : s.runs) {
@@ -43,10 +42,10 @@ void Run(const Args& args) {
         acks_per_mib = total_acks / (total_bytes / static_cast<double>(kMiB));
       }
     }
-    row.push_back(FormatDouble(acks_per_mib, 2));
-    table.AddRow(std::move(row));
+    row.push_back(Fixed(acks_per_mib, 2));
+    report.AddRow(std::move(row));
   }
-  table.Print(std::cout, args.csv);
+  report.Print();
 }
 
 }  // namespace
@@ -55,6 +54,8 @@ void Run(const Args& args) {
 int main(int argc, char** argv) {
   using namespace exs::bench;
   Args args = Args::Parse(argc, argv);
-  Run(args);
+  Report report("abl_ack_threshold", args);
+  Run(args, report);
+  report.Write(args.results_json_path);
   return 0;
 }

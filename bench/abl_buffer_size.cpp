@@ -13,15 +13,15 @@
 namespace exs::bench {
 namespace {
 
-void Run(const Args& args) {
+void Run(const Args& args, Report& report) {
   PrintBanner(std::cout, "Ablation: intermediate buffer size",
               "indirect-only throughput vs buffer capacity", args);
-  Table table({"buffer size", "FDR LAN Mb/s", "10GbE + 48 ms RTT Mb/s"});
+  report.Begin({{"buffer size", "buffer_bytes"},
+                {"FDR LAN Mb/s", "fdr_mbps"},
+                {"10GbE + 48 ms RTT Mb/s", "wan_mbps"}});
   for (std::uint64_t buf :
        {256 * kKiB, 1 * kMiB, 4 * kMiB, 8 * kMiB, 16 * kMiB, 64 * kMiB}) {
-    std::string name = buf >= kMiB ? std::to_string(buf / kMiB) + " MiB"
-                                   : std::to_string(buf / kKiB) + " KiB";
-    std::vector<std::string> row = {name};
+    std::vector<Cell> row = {Shown(SizeName(buf), buf)};
     for (bool wan : {false, true}) {
       blast::BlastConfig c = wan ? WanBaseConfig(args) : FdrBaseConfig(args);
       c.outstanding_recvs = 16;
@@ -30,11 +30,11 @@ void Run(const Args& args) {
       c.stream.intermediate_buffer_bytes = buf;
       if (wan) c.message_count = std::min<std::uint64_t>(args.messages, 150);
       blast::BlastSummary s = blast::RunRepeated(c, args.runs);
-      row.push_back(FormatMetric(s.throughput_mbps, 0));
+      row.push_back(Mean(s.throughput_mbps, 0));
     }
-    table.AddRow(std::move(row));
+    report.AddRow(std::move(row));
   }
-  table.Print(std::cout, args.csv);
+  report.Print();
 }
 
 }  // namespace
@@ -43,6 +43,8 @@ void Run(const Args& args) {
 int main(int argc, char** argv) {
   using namespace exs::bench;
   Args args = Args::Parse(argc, argv);
-  Run(args);
+  Report report("abl_buffer_size", args);
+  Run(args, report);
+  report.Write(args.results_json_path);
   return 0;
 }

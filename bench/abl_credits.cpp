@@ -11,13 +11,15 @@
 namespace exs::bench {
 namespace {
 
-void Run(const Args& args) {
+void Run(const Args& args, Report& report) {
   PrintBanner(std::cout, "Ablation: credit pool size",
               "dynamic-protocol throughput vs pre-posted receive pool",
               args);
-  Table table({"credits", "unbounded chunks Mb/s", "64 KiB chunks Mb/s"});
+  report.Begin({{"credits", "credits"},
+                {"unbounded chunks Mb/s", "unbounded_chunk_mbps"},
+                {"64 KiB chunks Mb/s", "chunk_64kib_mbps"}});
   for (std::uint32_t credits : {4u, 8u, 16u, 32u, 64u, 128u}) {
-    std::vector<std::string> row = {std::to_string(credits)};
+    std::vector<Cell> row = {credits};
     for (std::uint64_t chunk : {std::uint64_t{0}, 64 * kKiB}) {
       blast::BlastConfig c = FdrBaseConfig(args);
       c.outstanding_recvs = 16;
@@ -25,11 +27,11 @@ void Run(const Args& args) {
       c.stream.credits = credits;
       c.stream.max_wwi_chunk = chunk;
       blast::BlastSummary s = blast::RunRepeated(c, args.runs);
-      row.push_back(FormatMetric(s.throughput_mbps, 0));
+      row.push_back(Mean(s.throughput_mbps, 0));
     }
-    table.AddRow(std::move(row));
+    report.AddRow(std::move(row));
   }
-  table.Print(std::cout, args.csv);
+  report.Print();
 }
 
 }  // namespace
@@ -38,6 +40,8 @@ void Run(const Args& args) {
 int main(int argc, char** argv) {
   using namespace exs::bench;
   Args args = Args::Parse(argc, argv);
-  Run(args);
+  Report report("abl_credits", args);
+  Run(args, report);
+  report.Write(args.results_json_path);
   return 0;
 }

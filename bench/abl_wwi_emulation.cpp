@@ -74,32 +74,36 @@ double WireMessagesPerTransfer(const simnet::HardwareProfile& profile) {
   return static_cast<double>(carried) / kTransfers;
 }
 
-void Run(const Args& args) {
+void Run(const Args& args, Report& report) {
   PrintBanner(std::cout, "Ablation: WWI emulation",
               "native WRITE-WITH-IMM vs RDMA WRITE + SEND (legacy iWARP)",
               args);
   const auto native = simnet::HardwareProfile::RoCE10G();
   const auto emulated = simnet::HardwareProfile::Iwarp10G();
 
+  const double native_wire = WireMessagesPerTransfer(native);
+  const double emulated_wire = WireMessagesPerTransfer(emulated);
+  report.Set("native_wire_messages_per_transfer", native_wire);
+  report.Set("emulated_wire_messages_per_transfer", emulated_wire);
   std::cout << "wire messages per direct transfer: native "
-            << FormatDouble(WireMessagesPerTransfer(native), 2)
-            << ", emulated "
-            << FormatDouble(WireMessagesPerTransfer(emulated), 2) << "\n\n";
+            << FormatDouble(native_wire, 2) << ", emulated "
+            << FormatDouble(emulated_wire, 2) << "\n\n";
 
   const int iterations = args.quick ? 50 : 200;
-  Table table({"message size", "native RTT us", "emulated RTT us",
-               "blast native Mb/s", "blast emulated Mb/s"});
+  report.Begin({{"message size", "size"},
+                {"native RTT us", "native_rtt_us"},
+                {"emulated RTT us", "emulated_rtt_us"},
+                {"blast native Mb/s", "native_mbps"},
+                {"blast emulated Mb/s", "emulated_mbps"}});
   for (std::uint64_t size : {512ull, 4ull * kKiB, 64ull * kKiB,
                              512ull * kKiB}) {
-    std::string name = size >= kKiB ? std::to_string(size / kKiB) + " KiB"
-                                    : std::to_string(size) + " B";
     RunningStats nat, emu;
     for (int r = 0; r < args.runs; ++r) {
       nat.Add(PingPongRttUs(native, size, iterations, 100 + r));
       emu.Add(PingPongRttUs(emulated, size, iterations, 100 + r));
     }
-    std::vector<std::string> row = {name, FormatDouble(nat.Mean(), 2),
-                                    FormatDouble(emu.Mean(), 2)};
+    std::vector<Cell> row = {Shown(SizeName(size), size),
+                             Fixed(nat.Mean(), 2), Fixed(emu.Mean(), 2)};
     for (const auto& profile : {native, emulated}) {
       blast::BlastConfig c = FdrBaseConfig(args);
       c.profile = profile;
@@ -108,11 +112,11 @@ void Run(const Args& args) {
       c.fixed_message_bytes = size;
       c.recv_buffer_bytes = size;
       blast::BlastSummary s = blast::RunRepeated(c, args.runs);
-      row.push_back(FormatDouble(s.throughput_mbps.mean, 0));
+      row.push_back(Fixed(s.throughput_mbps.mean, 0));
     }
-    table.AddRow(std::move(row));
+    report.AddRow(std::move(row));
   }
-  table.Print(std::cout, args.csv);
+  report.Print();
 }
 
 }  // namespace
@@ -121,6 +125,8 @@ void Run(const Args& args) {
 int main(int argc, char** argv) {
   using namespace exs::bench;
   Args args = Args::Parse(argc, argv);
-  Run(args);
+  Report report("abl_wwi_emulation", args);
+  Run(args, report);
+  report.Write(args.results_json_path);
   return 0;
 }

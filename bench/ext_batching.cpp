@@ -27,9 +27,7 @@
 // regime (large messages) the columns converge: serialisation dominates
 // and the doorbell is noise.  CI gates on the 512 B depth-8 point (see
 // .github/workflows/ci.yml, job `batching`).
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "support.hpp"
 
@@ -38,14 +36,6 @@ namespace {
 
 constexpr std::uint64_t kSizes[] = {256, 512, 1024, 2048, 4096};
 constexpr std::uint32_t kDepths[] = {1, 2, 4, 8, 16};
-
-struct Point {
-  std::uint64_t size = 0;
-  std::uint32_t depth = 0;
-  double mbps = 0.0;
-  double gain = 0.0;           ///< vs depth-1 (batching off) at this size
-  double achieved_depth = 0.0; ///< batched WRs per doorbell ring
-};
 
 // FDR with a polling-grade event path: inlined handlers on a pinned core
 // (60 ns per completion instead of 1.5 us of interrupt-driven software)
@@ -92,14 +82,17 @@ double MeanAchievedDepth(const blast::BlastSummary& s) {
   return sum / static_cast<double>(s.runs.size());
 }
 
-std::vector<Point> RunSweep(const Args& args) {
+void RunSweep(const Args& args, Report& report) {
   PrintBanner(std::cout, "Ext: doorbell/WR batching (fdr, polling-grade)",
               "batch depth 1-16 vs message size 256 B - 4 KiB "
               "(sends=64, cq_drain=2x depth; depth 1 = batching off)",
               args);
-  Table table({"message size", "depth", "Mb/s", "gain vs depth-1",
-               "achieved depth"});
-  std::vector<Point> points;
+  report.Begin({{"message size", "size"},
+                {"depth", "depth"},
+                {"Mb/s", "mbps"},
+                {"gain vs depth-1", "gain"},
+                {"achieved depth", "achieved_depth"}},
+               "profile", "fdr");
   // --quick keeps the 512 B point CI gates on plus one larger size, with
   // the depth-1 baseline (first, so gains stay well-defined) and depth 8.
   const std::vector<std::uint64_t> sizes =
@@ -115,51 +108,18 @@ std::vector<Point> RunSweep(const Args& args) {
     for (std::uint32_t depth : depths) {
       blast::BlastSummary s =
           blast::RunRepeated(BaseFor(args, size, depth), args.runs);
-      Point p;
-      p.size = size;
-      p.depth = depth;
-      p.mbps = s.throughput_mbps.mean;
-      if (depth == 1) baseline = p.mbps;
-      p.gain = baseline > 0.0 ? p.mbps / baseline : 0.0;
-      p.achieved_depth = MeanAchievedDepth(s);
-      points.push_back(p);
-      table.AddRow({std::to_string(size) + " B", std::to_string(depth),
-                    FormatMetric(s.throughput_mbps, 0),
-                    FormatDouble(p.gain, 2) + "x",
-                    FormatDouble(p.achieved_depth, 1)});
+      const double mbps = s.throughput_mbps.mean;
+      if (depth == 1) baseline = mbps;
+      // Gain is against depth 1 (batching off) at this size; achieved
+      // depth is batched WRs per doorbell ring.
+      report.AddRow({Shown(std::to_string(size) + " B", size), depth,
+                     Mean(s.throughput_mbps, 0),
+                     Fixed(baseline > 0.0 ? mbps / baseline : 0.0, 2, "x"),
+                     Fixed(MeanAchievedDepth(s), 1)});
     }
   }
-  table.Print(std::cout, args.csv);
+  report.Print();
   std::cout << "\n";
-  return points;
-}
-
-void WriteJson(const Args& args, const std::vector<Point>& points) {
-  if (args.results_json_path.empty()) return;
-  std::ostringstream json;
-  json << "{\"bench\":\"ext_batching\",\"schema_version\":"
-       << kBenchJsonSchemaVersion << ",\"runs\":" << args.runs
-       << ",\"messages\":" << args.messages
-       << ",\"profiles\":[{\"profile\":\"fdr\",\"points\":[";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    if (i) json << ",";
-    json << "{\"size\":" << p.size << ",\"depth\":" << p.depth
-         << ",\"mbps\":" << p.mbps << ",\"gain\":" << p.gain
-         << ",\"achieved_depth\":" << p.achieved_depth << "}";
-  }
-  json << "]}]}";
-  if (args.results_json_path == "-") {
-    std::cout << json.str() << "\n";
-    return;
-  }
-  std::ofstream file(args.results_json_path, std::ios::trunc);
-  if (!file.good()) {
-    std::cerr << "cannot write " << args.results_json_path << "\n";
-    std::exit(2);
-  }
-  file << json.str() << "\n";
-  std::cout << "results written to " << args.results_json_path << "\n";
 }
 
 }  // namespace
@@ -168,6 +128,8 @@ void WriteJson(const Args& args, const std::vector<Point>& points) {
 int main(int argc, char** argv) {
   using namespace exs::bench;
   Args args = Args::Parse(argc, argv);
-  WriteJson(args, RunSweep(args));
+  Report report("ext_batching", args);
+  RunSweep(args, report);
+  report.Write(args.results_json_path);
   return 0;
 }

@@ -20,12 +20,16 @@
 namespace exs::bench {
 namespace {
 
-void RunBursts(const Args& args) {
+void RunBursts(const Args& args, Report& report) {
   PrintBanner(std::cout, "Ext: bursty traffic",
               "dynamic protocol under on/off bursts (recvs=8, sends=8)",
               args);
-  Table table({"burst size", "idle gap (us)", "throughput Mb/s",
-               "direct:total ratio", "mode switches"});
+  report.Begin({{"burst size", "burst_messages"},
+                {"idle gap (us)", "idle_us"},
+                {"throughput Mb/s", "mbps"},
+                {"direct:total ratio", "direct_ratio"},
+                {"mode switches", "mode_switches"}},
+               "part", "bursts");
   struct Case {
     std::uint64_t burst;
     double idle_us;
@@ -40,23 +44,26 @@ void RunBursts(const Args& args) {
     c.burst_messages = cs.burst;
     c.burst_idle = Microseconds(cs.idle_us);
     blast::BlastSummary s = blast::RunRepeated(c, args.runs);
-    table.AddRow({cs.burst == 0 ? "continuous" : std::to_string(cs.burst),
-                  FormatDouble(cs.idle_us, 0),
-                  FormatMetric(s.throughput_mbps, 0),
-                  FormatMetric(s.direct_ratio, 2),
-                  FormatMetric(s.mode_switches, 1)});
+    report.AddRow(
+        {Shown(cs.burst == 0 ? "continuous" : std::to_string(cs.burst),
+               cs.burst),
+         Fixed(cs.idle_us, 0), Mean(s.throughput_mbps, 0),
+         Mean(s.direct_ratio, 2), Mean(s.mode_switches, 1)});
   }
-  table.Print(std::cout, args.csv);
+  report.Print();
   std::cout << "\n";
 }
 
-void RunSizeShift(const Args& args) {
+void RunSizeShift(const Args& args, Report& report) {
   PrintBanner(std::cout, "Ext: mid-run size shift",
               "small -> large messages at the half-way point (recvs=4, "
               "sends=2)",
               args);
-  Table table({"workload", "throughput Mb/s", "direct:total ratio",
-               "mode switches"});
+  report.Begin({{"workload", "workload"},
+                {"throughput Mb/s", "mbps"},
+                {"direct:total ratio", "direct_ratio"},
+                {"mode switches", "mode_switches"}},
+               "part", "size_shift");
   struct Case {
     const char* name;
     double mean1;
@@ -74,11 +81,10 @@ void RunSizeShift(const Args& args) {
     c.shifted_mean_bytes = cs.mean2;
     c.shift_at_message = c.message_count / 2;
     blast::BlastSummary s = blast::RunRepeated(c, args.runs);
-    table.AddRow({cs.name, FormatMetric(s.throughput_mbps, 0),
-                  FormatMetric(s.direct_ratio, 2),
-                  FormatMetric(s.mode_switches, 1)});
+    report.AddRow({cs.name, Mean(s.throughput_mbps, 0),
+                   Mean(s.direct_ratio, 2), Mean(s.mode_switches, 1)});
   }
-  table.Print(std::cout, args.csv);
+  report.Print();
 }
 
 }  // namespace
@@ -87,7 +93,9 @@ void RunSizeShift(const Args& args) {
 int main(int argc, char** argv) {
   using namespace exs::bench;
   Args args = Args::Parse(argc, argv);
-  RunBursts(args);
-  RunSizeShift(args);
+  Report report("ext_bursty", args);
+  RunBursts(args, report);
+  RunSizeShift(args, report);
+  report.Write(args.results_json_path);
   return 0;
 }

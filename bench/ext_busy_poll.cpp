@@ -51,7 +51,7 @@ double PingPongRttUs(const simnet::HardwareProfile& profile,
   return ToMicroseconds(done - start) / iterations;
 }
 
-void Run(const Args& args) {
+void Run(const Args& args, Report& report) {
   PrintBanner(std::cout, "Ablation: busy polling",
               "event notification vs busy-polled completions, FDR IB",
               args);
@@ -59,21 +59,21 @@ void Run(const Args& args) {
   const auto polled = notified.WithBusyPolling();
   const int iterations = args.quick ? 50 : 200;
 
-  Table table({"message size", "notify RTT us", "poll RTT us",
-               "notify blast Mb/s", "poll blast Mb/s",
-               "poll direct ratio"});
+  report.Begin({{"message size", "size"},
+                {"notify RTT us", "notify_rtt_us"},
+                {"poll RTT us", "poll_rtt_us"},
+                {"notify blast Mb/s", "notify_mbps"},
+                {"poll blast Mb/s", "poll_mbps"},
+                {"poll direct ratio", "poll_direct_ratio"}});
   for (std::uint64_t size :
        {512ull, 8ull * kKiB, 128ull * kKiB, 1ull * kMiB}) {
-    std::string name = size >= kMiB ? std::to_string(size / kMiB) + " MiB"
-                       : size >= kKiB ? std::to_string(size / kKiB) + " KiB"
-                                      : std::to_string(size) + " B";
     RunningStats nrtt, prtt;
     for (int r = 0; r < args.runs; ++r) {
       nrtt.Add(PingPongRttUs(notified, size, iterations, 300 + r));
       prtt.Add(PingPongRttUs(polled, size, iterations, 300 + r));
     }
-    std::vector<std::string> row = {name, FormatDouble(nrtt.Mean(), 1),
-                                    FormatDouble(prtt.Mean(), 1)};
+    std::vector<Cell> row = {Shown(SizeName(size), size),
+                             Fixed(nrtt.Mean(), 1), Fixed(prtt.Mean(), 1)};
     double poll_ratio = 0;
     for (const auto& profile : {notified, polled}) {
       blast::BlastConfig c = FdrBaseConfig(args);
@@ -83,13 +83,13 @@ void Run(const Args& args) {
       c.fixed_message_bytes = size;
       c.recv_buffer_bytes = size;
       blast::BlastSummary s = blast::RunRepeated(c, args.runs);
-      row.push_back(FormatDouble(s.throughput_mbps.mean, 0));
+      row.push_back(Fixed(s.throughput_mbps.mean, 0));
       poll_ratio = s.direct_ratio.mean;
     }
-    row.push_back(FormatDouble(poll_ratio, 2));
-    table.AddRow(std::move(row));
+    row.push_back(Fixed(poll_ratio, 2));
+    report.AddRow(std::move(row));
   }
-  table.Print(std::cout, args.csv);
+  report.Print();
   std::cout << "\n(note: the spin loop's own 100% core burn is the price "
                "and is not shown)\n";
 }
@@ -100,6 +100,8 @@ void Run(const Args& args) {
 int main(int argc, char** argv) {
   using namespace exs::bench;
   Args args = Args::Parse(argc, argv);
-  Run(args);
+  Report report("ext_busy_poll", args);
+  Run(args, report);
+  report.Write(args.results_json_path);
   return 0;
 }

@@ -13,9 +13,7 @@
 // reports the throughput gain plus how much merging actually happened.
 // Past the staging capacity (4 KiB default) the two columns converge by
 // construction: sends bigger than the buffer are never staged.
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "support.hpp"
 
@@ -23,14 +21,6 @@ namespace exs::bench {
 namespace {
 
 constexpr std::uint64_t kSizes[] = {64, 128, 256, 512, 1024, 2048, 4096};
-
-struct Point {
-  std::uint64_t size = 0;
-  double off_mbps = 0.0;
-  double on_mbps = 0.0;
-  double coalesced_per_flush = 0.0;
-  double acks_piggybacked = 0.0;
-};
 
 blast::BlastConfig BaseFor(const std::string& profile, const Args& args) {
   blast::BlastConfig c =
@@ -51,14 +41,19 @@ double MeanOverRuns(const blast::BlastSummary& s,
   return sum / static_cast<double>(s.runs.size());
 }
 
-std::vector<Point> RunProfile(const std::string& profile, const Args& args) {
+void RunProfile(const std::string& profile, const Args& args,
+                Report& report) {
   PrintBanner(std::cout, "Ext: small-transfer coalescing (" + profile + ")",
               "fixed sizes 64 B – 4 KiB, coalescing off vs on (recvs=4, "
               "sends=16)",
               args);
-  Table table({"message size", "off Mb/s", "on Mb/s", "gain",
-               "merged sends/flush", "acks piggybacked"});
-  std::vector<Point> points;
+  report.Begin({{"message size", "size"},
+                {"off Mb/s", "off_mbps"},
+                {"on Mb/s", "on_mbps"},
+                {"gain", "gain"},
+                {"merged sends/flush", "coalesced_per_flush"},
+                {"acks piggybacked", "acks_piggybacked"}},
+               "profile", profile);
   // --quick keeps the smallest size, the 256 B point CI gates on, and the
   // staging-capacity boundary where the columns converge.
   const std::vector<std::uint64_t> sizes =
@@ -74,69 +69,27 @@ std::vector<Point> RunProfile(const std::string& profile, const Args& args) {
     blast::BlastSummary off_s = blast::RunRepeated(off, args.runs);
     blast::BlastSummary on_s = blast::RunRepeated(on, args.runs);
 
-    Point p;
-    p.size = size;
-    p.off_mbps = off_s.throughput_mbps.mean;
-    p.on_mbps = on_s.throughput_mbps.mean;
-    p.coalesced_per_flush = MeanOverRuns(on_s, [](const blast::BlastResult& r) {
+    const double off_mbps = off_s.throughput_mbps.mean;
+    const double gain =
+        off_mbps > 0.0 ? on_s.throughput_mbps.mean / off_mbps : 0.0;
+    const double per_flush = MeanOverRuns(on_s, [](const blast::BlastResult& r) {
       return r.client_stats.coalesce_flushes == 0
                  ? 0.0
                  : static_cast<double>(r.client_stats.coalesced_sends) /
                        static_cast<double>(r.client_stats.coalesce_flushes);
     });
-    p.acks_piggybacked = MeanOverRuns(on_s, [](const blast::BlastResult& r) {
-      return static_cast<double>(r.server_stats.acks_piggybacked);
-    });
-    points.push_back(p);
-
-    double gain = p.off_mbps > 0.0 ? p.on_mbps / p.off_mbps : 0.0;
-    table.AddRow({std::to_string(size) + " B",
-                  FormatMetric(off_s.throughput_mbps, 0),
-                  FormatMetric(on_s.throughput_mbps, 0),
-                  FormatDouble(gain, 2) + "x",
-                  FormatDouble(p.coalesced_per_flush, 1),
-                  FormatDouble(p.acks_piggybacked, 0)});
+    const double piggybacked =
+        MeanOverRuns(on_s, [](const blast::BlastResult& r) {
+          return static_cast<double>(r.server_stats.acks_piggybacked);
+        });
+    report.AddRow({Shown(std::to_string(size) + " B", size),
+                   Mean(off_s.throughput_mbps, 0),
+                   Mean(on_s.throughput_mbps, 0),
+                   Fixed(gain, 2, "x"),
+                   Fixed(per_flush, 1), Fixed(piggybacked, 0)});
   }
-  table.Print(std::cout, args.csv);
+  report.Print();
   std::cout << "\n";
-  return points;
-}
-
-void WriteJson(const Args& args,
-               const std::vector<std::pair<std::string, std::vector<Point>>>&
-                   profiles) {
-  if (args.results_json_path.empty()) return;
-  std::ostringstream json;
-  json << "{\"bench\":\"ext_coalescing\",\"schema_version\":"
-       << kBenchJsonSchemaVersion << ",\"runs\":" << args.runs
-       << ",\"messages\":" << args.messages << ",\"profiles\":[";
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    if (i) json << ",";
-    json << "{\"profile\":\"" << profiles[i].first << "\",\"points\":[";
-    const auto& points = profiles[i].second;
-    for (std::size_t j = 0; j < points.size(); ++j) {
-      const Point& p = points[j];
-      if (j) json << ",";
-      json << "{\"size\":" << p.size << ",\"off_mbps\":" << p.off_mbps
-           << ",\"on_mbps\":" << p.on_mbps << ",\"gain\":"
-           << (p.off_mbps > 0.0 ? p.on_mbps / p.off_mbps : 0.0)
-           << ",\"coalesced_per_flush\":" << p.coalesced_per_flush
-           << ",\"acks_piggybacked\":" << p.acks_piggybacked << "}";
-    }
-    json << "]}";
-  }
-  json << "]}";
-  if (args.results_json_path == "-") {
-    std::cout << json.str() << "\n";
-    return;
-  }
-  std::ofstream file(args.results_json_path, std::ios::trunc);
-  if (!file.good()) {
-    std::cerr << "cannot write " << args.results_json_path << "\n";
-    std::exit(2);
-  }
-  file << json.str() << "\n";
-  std::cout << "results written to " << args.results_json_path << "\n";
 }
 
 }  // namespace
@@ -145,9 +98,9 @@ void WriteJson(const Args& args,
 int main(int argc, char** argv) {
   using namespace exs::bench;
   Args args = Args::Parse(argc, argv);
-  std::vector<std::pair<std::string, std::vector<Point>>> results;
-  results.emplace_back("fdr", RunProfile("fdr", args));
-  results.emplace_back("wan", RunProfile("wan", args));
-  WriteJson(args, results);
+  Report report("ext_coalescing", args);
+  RunProfile("fdr", args, report);
+  RunProfile("wan", args, report);
+  report.Write(args.results_json_path);
   return 0;
 }

@@ -14,13 +14,15 @@
 namespace exs::bench {
 namespace {
 
-void Run(const Args& args) {
+void Run(const Args& args, Report& report) {
   PrintBanner(std::cout, "Ext: jitter",
               "throughput vs emulator jitter, 10GbE RoCE + 48 ms RTT", args);
-  Table table({"jitter (ms)", "indirect-only Mb/s", "dynamic Mb/s",
-               "direct-only Mb/s"});
+  report.Begin({{"jitter (ms)", "jitter_ms"},
+                {"indirect-only Mb/s", "indirect_mbps"},
+                {"dynamic Mb/s", "dynamic_mbps"},
+                {"direct-only Mb/s", "direct_mbps"}});
   for (double jitter_ms : {0.0, 0.5, 1.0, 2.0, 5.0, 10.0}) {
-    std::vector<std::string> row = {FormatDouble(jitter_ms, 1)};
+    std::vector<Cell> row = {Fixed(jitter_ms, 1)};
     for (ProtocolMode mode :
          {ProtocolMode::kIndirectOnly, ProtocolMode::kDynamic,
           ProtocolMode::kDirectOnly}) {
@@ -32,11 +34,11 @@ void Run(const Args& args) {
       c.stream.mode = mode;
       c.message_count = std::min<std::uint64_t>(args.messages, 200);
       blast::BlastSummary s = blast::RunRepeated(c, args.runs);
-      row.push_back(FormatMetric(s.throughput_mbps, 0));
+      row.push_back(Mean(s.throughput_mbps, 0));
     }
-    table.AddRow(std::move(row));
+    report.AddRow(std::move(row));
   }
-  table.Print(std::cout, args.csv);
+  report.Print();
 }
 
 }  // namespace
@@ -45,6 +47,8 @@ void Run(const Args& args) {
 int main(int argc, char** argv) {
   using namespace exs::bench;
   Args args = Args::Parse(argc, argv);
-  Run(args);
+  Report report("ext_jitter", args);
+  Run(args, report);
+  report.Write(args.results_json_path);
   return 0;
 }

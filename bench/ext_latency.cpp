@@ -7,9 +7,7 @@
 // always has its ADVERT out before the next ping) track each other, while
 // indirect-only pays the receiver-side copy on every hop and falls behind
 // by a growing margin as messages get larger.
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "support.hpp"
@@ -77,26 +75,15 @@ double MeasureRttUs(ProtocolMode mode, std::uint64_t size, int iterations,
 void WriteLatencyJson(const Args& args, int iterations) {
   if (args.latency_json_path.empty()) return;
   constexpr std::uint64_t kSize = 32 * kKiB;
-  std::string report;
+  std::string breakdown;
   MeasureRttUs(ProtocolMode::kDynamic, kSize, iterations, /*seed=*/1000,
-               &report);
-  std::ostringstream json;
-  json << "{\"bench\":\"ext_latency\",\"schema_version\":"
-       << kBenchJsonSchemaVersion
-       << ",\"mode\":\"dynamic\",\"message_bytes\":" << kSize
-       << ",\"iterations\":" << iterations << ",\"latency\":" << report << "}";
-  if (args.latency_json_path == "-") {
-    std::cout << json.str() << "\n";
-    return;
-  }
-  std::ofstream file(args.latency_json_path, std::ios::trunc);
-  if (!file.good()) {
-    std::cerr << "cannot write " << args.latency_json_path << "\n";
-    std::exit(2);
-  }
-  file << json.str() << "\n";
-  std::cout << "latency breakdown written to " << args.latency_json_path
-            << "\n";
+               &breakdown);
+  Report report("ext_latency", args, /*record_runs=*/false);
+  report.Set("mode", "dynamic");
+  report.Set("message_bytes", kSize);
+  report.Set("iterations", iterations);
+  report.Set("latency", RawJson(breakdown));
+  report.Write(args.latency_json_path);
 }
 
 void Run(const Args& args) {
@@ -104,14 +91,16 @@ void Run(const Args& args) {
               "ping-pong round-trip time vs message size (§VI future work)",
               args);
   const int iterations = args.quick ? 40 : 200;
-  Table table({"message size", "direct-only RTT us", "dynamic RTT us",
-               "indirect-only RTT us"});
+  Report report("ext_latency", args, /*record_runs=*/false);
+  report.Set("runs", args.runs);
+  report.Set("iterations", iterations);
+  report.Begin({{"message size", "size"},
+                {"direct-only RTT us", "direct_rtt_us"},
+                {"dynamic RTT us", "dynamic_rtt_us"},
+                {"indirect-only RTT us", "indirect_rtt_us"}});
   for (std::uint64_t size :
        {64ull, 512ull, 4096ull, 32768ull, 262144ull, 1048576ull}) {
-    std::string name = size >= kMiB ? std::to_string(size / kMiB) + " MiB"
-                       : size >= kKiB ? std::to_string(size / kKiB) + " KiB"
-                                      : std::to_string(size) + " B";
-    std::vector<std::string> row = {name};
+    std::vector<Cell> row = {Shown(SizeName(size), size)};
     for (ProtocolMode mode :
          {ProtocolMode::kDirectOnly, ProtocolMode::kDynamic,
           ProtocolMode::kIndirectOnly}) {
@@ -121,11 +110,12 @@ void Run(const Args& args) {
       }
       blast::Metric m{stats.Mean(), stats.ConfidenceHalfWidth95(),
                       stats.Min(), stats.Max()};
-      row.push_back(FormatMetric(m, 1));
+      row.push_back(Mean(m, 1));
     }
-    table.AddRow(std::move(row));
+    report.AddRow(std::move(row));
   }
-  table.Print(std::cout, args.csv);
+  report.Print();
+  report.Write(args.results_json_path);
   WriteLatencyJson(args, iterations);
 }
 

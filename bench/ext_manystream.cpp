@@ -24,10 +24,8 @@
 // receive completions, close, lease reclaim.
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <unordered_map>
 #include <vector>
 
@@ -243,44 +241,6 @@ Point RunPoint(std::uint32_t streams, std::uint64_t aggregate_bytes,
   return pt;
 }
 
-void WriteJson(const Args& args, const std::vector<Point>& points,
-               std::uint64_t aggregate_bytes) {
-  if (args.results_json_path.empty()) return;
-  std::ostringstream json;
-  json << "{\"bench\":\"ext_manystream\",\"schema_version\":"
-       << kBenchJsonSchemaVersion << ",\"slab_bytes\":" << kSlabBytes
-       << ",\"single_stream_ring_bytes\":" << kSingleStreamRing
-       << ",\"aggregate_bytes\":" << aggregate_bytes
-       << ",\"credits\":" << kCredits << ",\"profiles\":[";
-  json << "{\"profile\":\"fdr\",\"points\":[";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    if (i) json << ",";
-    json << "{\"streams\":" << p.streams
-         << ",\"lease_bytes\":" << p.lease_bytes
-         << ",\"per_stream_bytes\":" << p.per_stream_bytes
-         << ",\"goodput_mbps\":" << p.goodput_mbps
-         << ",\"link_fraction\":" << p.link_fraction
-         << ",\"fairness\":" << p.fairness
-         << ",\"pool_peak_bytes\":" << p.pool_peak_bytes
-         << ",\"admission_refusals\":" << p.admission_refusals
-         << ",\"checker_ran\":" << (p.checker_ran ? "true" : "false")
-         << ",\"checker_violations\":" << p.checker_violations << "}";
-  }
-  json << "]}]}";
-  if (args.results_json_path == "-") {
-    std::cout << json.str() << "\n";
-    return;
-  }
-  std::ofstream file(args.results_json_path, std::ios::trunc);
-  if (!file.good()) {
-    std::cerr << "cannot write " << args.results_json_path << "\n";
-    std::exit(2);
-  }
-  file << json.str() << "\n";
-  std::cout << "results written to " << args.results_json_path << "\n";
-}
-
 }  // namespace
 }  // namespace exs::bench
 
@@ -303,29 +263,44 @@ int main(int argc, char** argv) {
     sweep.assign(std::begin(kFullSweep), std::end(kFullSweep));
   }
 
-  Table table({"streams", "lease", "per-stream", "goodput Mb/s", "% link",
-               "fairness", "pool peak KiB", "refused", "pool check"});
-  std::vector<Point> points;
+  Report report("ext_manystream", args, /*record_runs=*/false);
+  report.Set("slab_bytes", kSlabBytes);
+  report.Set("single_stream_ring_bytes", kSingleStreamRing);
+  report.Set("aggregate_bytes", aggregate_bytes);
+  report.Set("credits", kCredits);
+  report.Begin({{"streams", "streams"},
+                {"lease", "lease_bytes"},
+                {"per-stream", "per_stream_bytes"},
+                {"goodput Mb/s", "goodput_mbps"},
+                {"% link", "link_fraction"},
+                {"fairness", "fairness"},
+                {"pool peak KiB", "pool_peak_bytes"},
+                {"refused", "admission_refusals"},
+                {"", "checker_ran"},
+                {"", "checker_violations"},
+                {"pool check", ""}},
+               "profile", "fdr");
   std::vector<std::string> failures;
   for (std::uint32_t streams : sweep) {
     Point p = RunPoint(streams, aggregate_bytes, &failures);
-    points.push_back(p);
     std::string lease = p.lease_bytes >= exs::kKiB
                             ? std::to_string(p.lease_bytes / exs::kKiB) + " KiB"
                             : std::to_string(p.lease_bytes) + " B";
-    table.AddRow({std::to_string(p.streams), lease,
-                  std::to_string(p.per_stream_bytes / exs::kKiB) + " KiB",
-                  FormatDouble(p.goodput_mbps, 0),
-                  FormatDouble(p.link_fraction * 100.0, 1),
-                  FormatDouble(p.fairness, 2) + "x",
-                  std::to_string(p.pool_peak_bytes / exs::kKiB),
-                  std::to_string(p.admission_refusals),
-                  p.checker_ran ? (p.checker_violations == 0 ? "ok" : "FAIL")
-                                : "skipped"});
+    report.AddRow(
+        {p.streams, Shown(lease, p.lease_bytes),
+         Shown(std::to_string(p.per_stream_bytes / exs::kKiB) + " KiB",
+               p.per_stream_bytes),
+         Fixed(p.goodput_mbps, 0),
+         Shown(FormatDouble(p.link_fraction * 100.0, 1), p.link_fraction),
+         Fixed(p.fairness, 2, "x"),
+         Shown(std::to_string(p.pool_peak_bytes / exs::kKiB),
+               p.pool_peak_bytes),
+         p.admission_refusals, p.checker_ran, p.checker_violations,
+         CheckVerdict(p.checker_ran, p.checker_violations)});
   }
-  table.Print(std::cout, args.csv);
+  report.Print();
   std::cout << "\n";
-  WriteJson(args, points, aggregate_bytes);
+  report.Write(args.results_json_path);
 
   if (!args.latency_json_path.empty()) {
     // A dedicated span-instrumented run at the largest traced point.  The
@@ -334,24 +309,12 @@ int main(int argc, char** argv) {
     constexpr std::uint32_t kLatencyStreams = kMaxTracedStreams;
     exs::spans::SpanCollector collector(/*seed=*/1, /*sample_period=*/1);
     Point p = RunPoint(kLatencyStreams, aggregate_bytes, &failures, &collector);
-    std::ostringstream json;
-    json << "{\"bench\":\"ext_manystream\",\"schema_version\":"
-         << kBenchJsonSchemaVersion << ",\"streams\":" << kLatencyStreams
-         << ",\"per_stream_bytes\":" << p.per_stream_bytes
-         << ",\"sample_period\":" << collector.sample_period()
-         << ",\"latency\":" << collector.BuildReport().ToJson() << "}";
-    if (args.latency_json_path == "-") {
-      std::cout << json.str() << "\n";
-    } else {
-      std::ofstream file(args.latency_json_path, std::ios::trunc);
-      if (!file.good()) {
-        std::cerr << "cannot write " << args.latency_json_path << "\n";
-        return 2;
-      }
-      file << json.str() << "\n";
-      std::cout << "latency breakdown written to " << args.latency_json_path
-                << "\n";
-    }
+    Report latency("ext_manystream", args, /*record_runs=*/false);
+    latency.Set("streams", kLatencyStreams);
+    latency.Set("per_stream_bytes", p.per_stream_bytes);
+    latency.Set("sample_period", collector.sample_period());
+    latency.Set("latency", RawJson(collector.BuildReport().ToJson()));
+    latency.Write(args.latency_json_path);
   }
 
   for (const std::string& f : failures) std::cerr << "FAIL " << f << "\n";

@@ -26,11 +26,9 @@
 // per-pair trace checker runs at the counts where tracing is affordable.
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -253,43 +251,6 @@ Point RunPoint(bool muxed, std::uint32_t streams,
   return pt;
 }
 
-void WriteJson(const Args& args, const std::vector<Point>& points,
-               std::uint64_t aggregate_bytes) {
-  if (args.results_json_path.empty()) return;
-  std::ostringstream json;
-  json << "{\"bench\":\"ext_mux\",\"schema_version\":"
-       << kBenchJsonSchemaVersion << ",\"pool_width\":" << kPoolWidth
-       << ",\"aggregate_bytes\":" << aggregate_bytes
-       << ",\"fairness_bound\":" << kFairnessBound << ",\"points\":[";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    if (i) json << ",";
-    json << "{\"tier\":\"" << (p.muxed ? "muxed" : "dedicated")
-         << "\",\"streams\":" << p.streams << ",\"width\":" << p.width
-         << ",\"per_stream_bytes\":" << p.per_stream_bytes
-         << ",\"qps_created\":" << p.qps_created
-         << ",\"goodput_mbps\":" << p.goodput_mbps
-         << ",\"fairness\":" << p.fairness << ",\"spread\":" << p.spread
-         << ",\"parks\":" << p.parks
-         << ",\"hol_p99_us\":" << p.hol_p99_us
-         << ",\"hol_p999_us\":" << p.hol_p999_us
-         << ",\"checker_ran\":" << (p.checker_ran ? "true" : "false")
-         << ",\"checker_violations\":" << p.checker_violations << "}";
-  }
-  json << "]}";
-  if (args.results_json_path == "-") {
-    std::cout << json.str() << "\n";
-    return;
-  }
-  std::ofstream file(args.results_json_path, std::ios::trunc);
-  if (!file.good()) {
-    std::cerr << "cannot write " << args.results_json_path << "\n";
-    std::exit(2);
-  }
-  file << json.str() << "\n";
-  std::cout << "results written to " << args.results_json_path << "\n";
-}
-
 }  // namespace
 }  // namespace exs::bench
 
@@ -316,29 +277,45 @@ int main(int argc, char** argv) {
     muxed.assign(std::begin(kMuxedFull), std::end(kMuxedFull));
   }
 
-  Table table({"tier", "streams", "QPs", "per-stream", "goodput Mb/s",
-               "fairness", "spread", "parks", "HoL p99 us", "checker"});
-  std::vector<Point> points;
+  Report report("ext_mux", args, /*record_runs=*/false);
+  report.Set("pool_width", kPoolWidth);
+  report.Set("aggregate_bytes", aggregate_bytes);
+  report.Set("fairness_bound", kFairnessBound);
+  // The table shows the QP count before the per-stream bytes, the JSON
+  // after them.
+  report.Begin({{"tier", "tier"},
+                {"streams", "streams"},
+                {"", "width"},
+                {"QPs", ""},
+                {"per-stream", "per_stream_bytes"},
+                {"", "qps_created"},
+                {"goodput Mb/s", "goodput_mbps"},
+                {"fairness", "fairness"},
+                {"spread", "spread"},
+                {"parks", "parks"},
+                {"HoL p99 us", "hol_p99_us"},
+                {"", "hol_p999_us"},
+                {"", "checker_ran"},
+                {"", "checker_violations"},
+                {"checker", ""}});
   std::vector<std::string> failures;
   auto add = [&](bool is_muxed, std::uint32_t streams) {
     Point p = RunPoint(is_muxed, streams, aggregate_bytes, &failures);
-    points.push_back(p);
-    table.AddRow({is_muxed ? "muxed" : "dedicated", std::to_string(p.streams),
-                  std::to_string(p.qps_created),
-                  std::to_string(p.per_stream_bytes / exs::kKiB) + " KiB",
-                  FormatDouble(p.goodput_mbps, 0),
-                  FormatDouble(p.fairness, 2) + "x",
-                  FormatDouble(p.spread, 2) + "x", std::to_string(p.parks),
-                  p.muxed ? FormatDouble(p.hol_p99_us, 1) : "-",
-                  p.checker_ran
-                      ? (p.checker_violations == 0 ? "ok" : "FAIL")
-                      : "skipped"});
+    report.AddRow(
+        {is_muxed ? "muxed" : "dedicated", p.streams, p.width, p.qps_created,
+         Shown(std::to_string(p.per_stream_bytes / exs::kKiB) + " KiB",
+               p.per_stream_bytes),
+         p.qps_created, Fixed(p.goodput_mbps, 0), Fixed(p.fairness, 2, "x"),
+         Fixed(p.spread, 2, "x"), p.parks,
+         Shown(p.muxed ? FormatDouble(p.hol_p99_us, 1) : "-", p.hol_p99_us),
+         p.hol_p999_us, p.checker_ran, p.checker_violations,
+         CheckVerdict(p.checker_ran, p.checker_violations)});
   };
   for (std::uint32_t streams : dedicated) add(/*is_muxed=*/false, streams);
   for (std::uint32_t streams : muxed) add(/*is_muxed=*/true, streams);
-  table.Print(std::cout, args.csv);
+  report.Print();
   std::cout << "\n";
-  WriteJson(args, points, aggregate_bytes);
+  report.Write(args.results_json_path);
 
   for (const std::string& f : failures) std::cerr << "FAIL " << f << "\n";
   return failures.empty() ? 0 : 1;

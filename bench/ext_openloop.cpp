@@ -33,10 +33,8 @@
 // them), unlike the timing-only figure benches.
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -159,6 +157,19 @@ void ScheduleArrivals(Simulation& sim, Driver* d, SimTime* last_done) {
                    if (sim.Now() > *last_done) *last_done = sim.Now();
                  });
     ScheduleArrivals(sim, d, last_done);
+  });
+}
+
+/// Disconnects `rpc` once its train is issued and resolved: polls on the
+/// timer wheel rather than threading a completion count through every
+/// response callback.
+void CloseWhenDone(Simulation& sim, Driver* d, rpc::RpcClient* rpc) {
+  sim.scheduler().ScheduleAfter(Microseconds(50), [&sim, d, rpc] {
+    if (d->remaining == 0 && rpc->pending_calls() == 0) {
+      rpc->CloseSend();
+      return;
+    }
+    CloseWhenDone(sim, d, rpc);
   });
 }
 
@@ -411,18 +422,7 @@ Point RunChurnPoint(std::uint32_t clients, std::uint64_t seed,
                   d->rpc = rpcs.back().get();
                   rpc::RpcClient* rpc = rpcs.back().get();
                   ScheduleArrivals(sim, d, &last_done);
-                  // Disconnect once the train is issued and resolved:
-                  // poll on the timer wheel rather than threading a
-                  // completion count through every response callback.
-                  auto poll = std::make_shared<std::function<void()>>();
-                  *poll = [d, rpc, &sim, poll] {
-                    if (d->remaining == 0 && rpc->pending_calls() == 0) {
-                      rpc->CloseSend();
-                      return;
-                    }
-                    sim.scheduler().ScheduleAfter(Microseconds(50), *poll);
-                  };
-                  sim.scheduler().ScheduleAfter(Microseconds(50), *poll);
+                  CloseWhenDone(sim, d, rpc);
                 });
           }
         });
@@ -459,49 +459,6 @@ Point RunChurnPoint(std::uint32_t clients, std::uint64_t seed,
   return pt;
 }
 
-void WriteJson(const Args& args, const std::vector<Point>& points) {
-  if (args.results_json_path.empty()) return;
-  std::ostringstream json;
-  json << "{\"bench\":\"ext_openloop\",\"schema_version\":"
-       << kBenchJsonSchemaVersion
-       << ",\"requests_per_client\":" << kRequestsPerClient
-       << ",\"aggregate_gap_ps\":" << kAggregateGap
-       << ",\"deadline_ps\":" << kDeadline << ",\"points\":[";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    if (i) json << ",";
-    json << "{\"arm\":\"" << p.spec.arm << "\",\"arrivals\":\""
-         << p.spec.arrivals << "\",\"clients\":" << p.spec.clients
-         << ",\"slab_slots\":" << p.spec.slab_slots
-         << ",\"issued\":" << p.issued << ",\"answered\":" << p.answered
-         << ",\"timed_out\":" << p.timed_out << ",\"refused\":" << p.refused
-         << ",\"shed_local\":" << p.shed_local << ",\"stale\":" << p.stale
-         << ",\"lost\":" << p.lost << ",\"p50_us\":" << p.p50_us
-         << ",\"p99_us\":" << p.p99_us << ",\"p999_us\":" << p.p999_us
-         << ",\"goodput_mbps\":" << p.goodput_mbps
-         << ",\"rpc_per_sec\":" << p.rpc_per_sec
-         << ",\"timeout_rate\":" << p.timeout_rate
-         << ",\"refusal_rate\":" << p.refusal_rate
-         << ",\"qps_created\":" << p.qps_created
-         << ",\"admission_attempts\":" << p.admission_attempts
-         << ",\"admission_refusals\":" << p.admission_refusals
-         << ",\"checker_ran\":" << (p.checker_ran ? "true" : "false")
-         << ",\"checker_violations\":" << p.checker_violations << "}";
-  }
-  json << "]}";
-  if (args.results_json_path == "-") {
-    std::cout << json.str() << "\n";
-    return;
-  }
-  std::ofstream file(args.results_json_path, std::ios::trunc);
-  if (!file.good()) {
-    std::cerr << "cannot write " << args.results_json_path << "\n";
-    std::exit(2);
-  }
-  file << json.str() << "\n";
-  std::cout << "results written to " << args.results_json_path << "\n";
-}
-
 }  // namespace
 }  // namespace exs::bench
 
@@ -531,31 +488,54 @@ int main(int argc, char** argv) {
   }
   const std::uint32_t churn_clients = args.quick ? 256 : 512;
 
-  Table table({"arm", "arrivals", "clients", "slab", "p50 us", "p99 us",
-               "p999 us", "goodput Mb/s", "timeout %", "refusal %",
-               "admission ref", "check"});
-  std::vector<Point> points;
+  Report report("ext_openloop", args, /*record_runs=*/false);
+  report.Set("requests_per_client", kRequestsPerClient);
+  report.Set("aggregate_gap_ps", kAggregateGap);
+  report.Set("deadline_ps", kDeadline);
+  report.Begin({{"arm", "arm"},
+                {"arrivals", "arrivals"},
+                {"clients", "clients"},
+                {"slab", "slab_slots"},
+                {"", "issued"},
+                {"", "answered"},
+                {"", "timed_out"},
+                {"", "refused"},
+                {"", "shed_local"},
+                {"", "stale"},
+                {"", "lost"},
+                {"p50 us", "p50_us"},
+                {"p99 us", "p99_us"},
+                {"p999 us", "p999_us"},
+                {"goodput Mb/s", "goodput_mbps"},
+                {"", "rpc_per_sec"},
+                {"timeout %", "timeout_rate"},
+                {"refusal %", "refusal_rate"},
+                {"", "qps_created"},
+                {"", "admission_attempts"},
+                {"admission ref", "admission_refusals"},
+                {"", "checker_ran"},
+                {"", "checker_violations"},
+                {"check", ""}});
   std::vector<std::string> failures;
   auto add_row = [&](const Point& p) {
-    points.push_back(p);
-    table.AddRow(
-        {p.spec.arm, p.spec.arrivals, std::to_string(p.spec.clients),
-         std::to_string(p.spec.slab_slots), FormatDouble(p.p50_us, 1),
-         FormatDouble(p.p99_us, 1), FormatDouble(p.p999_us, 1),
-         FormatDouble(p.goodput_mbps, 0),
-         FormatDouble(p.timeout_rate * 100.0, 2),
-         FormatDouble(p.refusal_rate * 100.0, 2),
-         std::to_string(p.admission_refusals),
-         p.checker_ran ? (p.checker_violations == 0 ? "ok" : "FAIL")
-                       : "skipped"});
+    report.AddRow(
+        {p.spec.arm, p.spec.arrivals, p.spec.clients, p.spec.slab_slots,
+         p.issued, p.answered, p.timed_out, p.refused, p.shed_local, p.stale,
+         p.lost, Fixed(p.p50_us, 1), Fixed(p.p99_us, 1), Fixed(p.p999_us, 1),
+         Fixed(p.goodput_mbps, 0), p.rpc_per_sec,
+         Shown(FormatDouble(p.timeout_rate * 100.0, 2), p.timeout_rate),
+         Shown(FormatDouble(p.refusal_rate * 100.0, 2), p.refusal_rate),
+         p.qps_created, p.admission_attempts, p.admission_refusals,
+         p.checker_ran, p.checker_violations,
+         CheckVerdict(p.checker_ran, p.checker_violations)});
   };
   for (const PointSpec& spec : specs) {
     add_row(RunMuxPoint(spec, /*seed=*/1, &failures));
   }
   add_row(RunChurnPoint(churn_clients, /*seed=*/1, &failures));
-  table.Print(std::cout, args.csv);
+  report.Print();
   std::cout << "\n";
-  WriteJson(args, points);
+  report.Write(args.results_json_path);
 
   for (const std::string& f : failures) std::cerr << "FAIL " << f << "\n";
   return failures.empty() ? 0 : 1;

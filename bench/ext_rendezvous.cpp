@@ -18,16 +18,21 @@
 namespace exs::bench {
 namespace {
 
-void RunPart(const Args& args, const std::string& id, bool wan) {
+void RunPart(const Args& args, Report& report, const std::string& id,
+             bool wan) {
   PrintBanner(std::cout, id,
               wan ? "10GbE RoCE + 48 ms RTT, sends == recvs"
                   : "FDR InfiniBand, sends == recvs",
               args);
-  Table table({"outstanding ops", "direct-only Mb/s", "dynamic Mb/s",
-               "indirect-only Mb/s", "read-rendezvous Mb/s",
-               "rendezvous recv CPU%"});
+  report.Begin({{"outstanding ops", "ops"},
+                {"direct-only Mb/s", "direct_mbps"},
+                {"dynamic Mb/s", "dynamic_mbps"},
+                {"indirect-only Mb/s", "indirect_mbps"},
+                {"read-rendezvous Mb/s", "rendezvous_mbps"},
+                {"rendezvous recv CPU%", "rendezvous_cpu_pct"}},
+               "profile", wan ? "wan" : "fdr");
   for (std::uint32_t k : {2u, 8u, 32u}) {
-    std::vector<std::string> row = {std::to_string(k)};
+    std::vector<Cell> row = {k};
     double rendezvous_cpu = 0.0;
     for (ProtocolMode mode :
          {ProtocolMode::kDirectOnly, ProtocolMode::kDynamic,
@@ -38,15 +43,15 @@ void RunPart(const Args& args, const std::string& id, bool wan) {
       c.stream.mode = mode;
       if (wan) c.message_count = std::min<std::uint64_t>(args.messages, 150);
       blast::BlastSummary s = blast::RunRepeated(c, args.runs);
-      row.push_back(FormatMetric(s.throughput_mbps, 0));
+      row.push_back(Mean(s.throughput_mbps, 0));
       if (mode == ProtocolMode::kReadRendezvous) {
         rendezvous_cpu = s.receiver_cpu_percent.mean;
       }
     }
-    row.push_back(FormatDouble(rendezvous_cpu, 1));
-    table.AddRow(std::move(row));
+    row.push_back(Fixed(rendezvous_cpu, 1));
+    report.AddRow(std::move(row));
   }
-  table.Print(std::cout, args.csv);
+  report.Print();
   std::cout << "\n";
 }
 
@@ -56,7 +61,9 @@ void RunPart(const Args& args, const std::string& id, bool wan) {
 int main(int argc, char** argv) {
   using namespace exs::bench;
   Args args = Args::Parse(argc, argv);
-  RunPart(args, "Ext: read-rendezvous (LAN)", /*wan=*/false);
-  RunPart(args, "Ext: read-rendezvous (WAN)", /*wan=*/true);
+  Report report("ext_rendezvous", args);
+  RunPart(args, report, "Ext: read-rendezvous (LAN)", /*wan=*/false);
+  RunPart(args, report, "Ext: read-rendezvous (WAN)", /*wan=*/true);
+  report.Write(args.results_json_path);
   return 0;
 }

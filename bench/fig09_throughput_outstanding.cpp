@@ -10,29 +10,22 @@
 // indirect-only 20-27 Gb/s (memcpy-bound); dynamic tracks indirect-only
 // when the counts are equal and direct-only when receives are doubled,
 // with one anomalous point at (receives=4, sends=2).
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "support.hpp"
 
 namespace exs::bench {
 namespace {
 
-struct Point {
-  std::uint32_t recvs = 0;
-  std::uint32_t sends = 0;
-  double direct_mbps = 0.0;
-  double dynamic_mbps = 0.0;
-  double indirect_mbps = 0.0;
-};
-
-std::vector<Point> RunPart(const Args& args, const std::string& id,
-                           const std::string& description, bool halve_sends) {
-  PrintBanner(std::cout, id, description, args);
-  Table table({"outstanding recvs", "outstanding sends",
-               "direct-only Mb/s", "dynamic Mb/s", "indirect-only Mb/s"});
-  std::vector<Point> points;
+void RunPart(const Args& args, Report& report, const std::string& part,
+             const std::string& description, bool halve_sends) {
+  PrintBanner(std::cout, "Fig " + part, description, args);
+  report.Begin({{"outstanding recvs", "recvs"},
+                {"outstanding sends", "sends"},
+                {"direct-only Mb/s", "direct_mbps"},
+                {"dynamic Mb/s", "dynamic_mbps"},
+                {"indirect-only Mb/s", "indirect_mbps"}},
+               "part", part);
   // --quick keeps the sweep's endpoints and midpoint; the full run covers
   // every doubling.
   const std::vector<std::uint32_t> sweep =
@@ -40,12 +33,7 @@ std::vector<Point> RunPart(const Args& args, const std::string& id,
   for (std::uint32_t k : sweep) {
     std::uint32_t sends = halve_sends ? k / 2 : k;
     if (sends == 0) continue;
-    std::vector<std::string> row = {std::to_string(k), std::to_string(sends)};
-    Point p;
-    p.recvs = k;
-    p.sends = sends;
-    double* slots[] = {&p.direct_mbps, &p.dynamic_mbps, &p.indirect_mbps};
-    std::size_t slot = 0;
+    std::vector<Cell> row = {k, sends};
     for (ProtocolMode mode :
          {ProtocolMode::kDirectOnly, ProtocolMode::kDynamic,
           ProtocolMode::kIndirectOnly}) {
@@ -54,51 +42,12 @@ std::vector<Point> RunPart(const Args& args, const std::string& id,
       c.outstanding_sends = sends;
       c.stream.mode = mode;
       blast::BlastSummary s = blast::RunRepeated(c, args.runs);
-      *slots[slot++] = s.throughput_mbps.mean;
-      row.push_back(FormatMetric(s.throughput_mbps, 0));
+      row.push_back(Mean(s.throughput_mbps, 0));
     }
-    table.AddRow(std::move(row));
-    points.push_back(p);
+    report.AddRow(std::move(row));
   }
-  table.Print(std::cout, args.csv);
+  report.Print();
   std::cout << "\n";
-  return points;
-}
-
-void WriteJson(const Args& args,
-               const std::vector<std::pair<std::string, std::vector<Point>>>&
-                   parts) {
-  if (args.results_json_path.empty()) return;
-  std::ostringstream json;
-  json << "{\"bench\":\"fig09\",\"schema_version\":"
-       << kBenchJsonSchemaVersion << ",\"runs\":" << args.runs
-       << ",\"messages\":" << args.messages << ",\"parts\":[";
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i) json << ",";
-    json << "{\"part\":\"" << parts[i].first << "\",\"points\":[";
-    const auto& points = parts[i].second;
-    for (std::size_t j = 0; j < points.size(); ++j) {
-      const Point& p = points[j];
-      if (j) json << ",";
-      json << "{\"recvs\":" << p.recvs << ",\"sends\":" << p.sends
-           << ",\"direct_mbps\":" << p.direct_mbps
-           << ",\"dynamic_mbps\":" << p.dynamic_mbps
-           << ",\"indirect_mbps\":" << p.indirect_mbps << "}";
-    }
-    json << "]}";
-  }
-  json << "]}";
-  if (args.results_json_path == "-") {
-    std::cout << json.str() << "\n";
-    return;
-  }
-  std::ofstream file(args.results_json_path, std::ios::trunc);
-  if (!file.good()) {
-    std::cerr << "cannot write " << args.results_json_path << "\n";
-    std::exit(2);
-  }
-  file << json.str() << "\n";
-  std::cout << "results written to " << args.results_json_path << "\n";
 }
 
 }  // namespace
@@ -107,17 +56,13 @@ void WriteJson(const Args& args,
 int main(int argc, char** argv) {
   using namespace exs::bench;
   Args args = Args::Parse(argc, argv);
-  std::vector<std::pair<std::string, std::vector<Point>>> parts;
-  parts.emplace_back(
-      "9a", RunPart(args, "Fig 9a",
-                    "throughput vs outstanding ops (sends == recvs), "
-                    "FDR InfiniBand",
-                    /*halve_sends=*/false));
-  parts.emplace_back(
-      "9b", RunPart(args, "Fig 9b",
-                    "throughput vs outstanding ops (sends == recvs/2), "
-                    "FDR InfiniBand",
-                    /*halve_sends=*/true));
-  WriteJson(args, parts);
+  Report report("fig09", args);
+  RunPart(args, report, "9a",
+          "throughput vs outstanding ops (sends == recvs), FDR InfiniBand",
+          /*halve_sends=*/false);
+  RunPart(args, report, "9b",
+          "throughput vs outstanding ops (sends == recvs/2), FDR InfiniBand",
+          /*halve_sends=*/true);
+  report.Write(args.results_json_path);
   return 0;
 }

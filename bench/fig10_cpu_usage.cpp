@@ -12,18 +12,22 @@
 namespace exs::bench {
 namespace {
 
-void RunPart(const Args& args, const std::string& id,
+void RunPart(const Args& args, Report& report, const std::string& part,
              const std::string& description, bool halve_sends) {
-  PrintBanner(std::cout, id, description, args);
-  Table table({"outstanding recvs", "outstanding sends", "direct-only CPU%",
-               "dynamic CPU%", "indirect-only CPU%"});
+  PrintBanner(std::cout, "Fig " + part, description, args);
+  report.Begin({{"outstanding recvs", "recvs"},
+                {"outstanding sends", "sends"},
+                {"direct-only CPU%", "direct_cpu_pct"},
+                {"dynamic CPU%", "dynamic_cpu_pct"},
+                {"indirect-only CPU%", "indirect_cpu_pct"}},
+               "part", part);
   // --quick keeps the sweep's endpoints and midpoint.
   const std::vector<std::uint32_t> sweep =
       args.quick ? std::vector<std::uint32_t>{1, 4, 16} : kOutstandingSweep;
   for (std::uint32_t k : sweep) {
     std::uint32_t sends = halve_sends ? k / 2 : k;
     if (sends == 0) continue;
-    std::vector<std::string> row = {std::to_string(k), std::to_string(sends)};
+    std::vector<Cell> row = {k, sends};
     for (ProtocolMode mode :
          {ProtocolMode::kDirectOnly, ProtocolMode::kDynamic,
           ProtocolMode::kIndirectOnly}) {
@@ -32,11 +36,11 @@ void RunPart(const Args& args, const std::string& id,
       c.outstanding_sends = sends;
       c.stream.mode = mode;
       blast::BlastSummary s = blast::RunRepeated(c, args.runs);
-      row.push_back(FormatMetric(s.receiver_cpu_percent, 1));
+      row.push_back(Mean(s.receiver_cpu_percent, 1));
     }
-    table.AddRow(std::move(row));
+    report.AddRow(std::move(row));
   }
-  table.Print(std::cout, args.csv);
+  report.Print();
   std::cout << "\n";
 }
 
@@ -46,11 +50,13 @@ void RunPart(const Args& args, const std::string& id,
 int main(int argc, char** argv) {
   using namespace exs::bench;
   Args args = Args::Parse(argc, argv);
-  RunPart(args, "Fig 10a",
+  Report report("fig10", args);
+  RunPart(args, report, "10a",
           "receiver CPU usage vs outstanding ops (sends == recvs)",
           /*halve_sends=*/false);
-  RunPart(args, "Fig 10b",
+  RunPart(args, report, "10b",
           "receiver CPU usage vs outstanding ops (sends == recvs/2)",
           /*halve_sends=*/true);
+  report.Write(args.results_json_path);
   return 0;
 }

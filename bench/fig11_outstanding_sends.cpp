@@ -20,20 +20,16 @@ const std::vector<std::uint64_t> kSizes = {512, 8 * kKiB, 128 * kKiB,
                                            2 * kMiB};
 const std::vector<std::uint32_t> kSends = {1, 2, 4, 5, 8, 16, 32};
 
-void Run(const Args& args) {
+void Run(const Args& args, Report& report) {
   PrintBanner(std::cout, "Fig 11",
               "dynamic protocol vs outstanding sends (recvs fixed at 32)",
               args);
-  Table tput({"outstanding sends", "512 B Mb/s", "8 KiB Mb/s",
-              "128 KiB Mb/s", "2 MiB Mb/s"});
-  Table ratio({"outstanding sends", "512 B ratio", "8 KiB ratio",
-               "128 KiB ratio", "2 MiB ratio"});
   // --quick samples the shallow, paper-anomaly (5), and deep ends.
   const std::vector<std::uint32_t> send_sweep =
       args.quick ? std::vector<std::uint32_t>{1, 5, 32} : kSends;
+  std::vector<std::vector<blast::BlastSummary>> summaries;
   for (std::uint32_t sends : send_sweep) {
-    std::vector<std::string> trow = {std::to_string(sends)};
-    std::vector<std::string> rrow = {std::to_string(sends)};
+    summaries.emplace_back();
     for (std::uint64_t size : kSizes) {
       blast::BlastConfig c = FdrBaseConfig(args);
       c.outstanding_recvs = 32;
@@ -42,17 +38,33 @@ void Run(const Args& args) {
       c.recv_buffer_bytes = size;
       // Keep per-point cost bounded for the big sizes.
       if (size >= 2 * kMiB && c.message_count > 200) c.message_count = 200;
-      blast::BlastSummary s = blast::RunRepeated(c, args.runs);
-      trow.push_back(FormatMetric(s.throughput_mbps, 0));
-      rrow.push_back(FormatMetric(s.direct_ratio, 2));
+      summaries.back().push_back(blast::RunRepeated(c, args.runs));
     }
-    tput.AddRow(std::move(trow));
-    ratio.AddRow(std::move(rrow));
   }
-  std::cout << "-- Fig 11a: throughput --\n";
-  tput.Print(std::cout, args.csv);
-  std::cout << "\n-- Fig 11b: direct:total transfer ratio --\n";
-  ratio.Print(std::cout, args.csv);
+  // One table per panel, one column per message size.
+  auto panel = [&](const std::string& part, const std::string& title,
+                   const std::string& unit, const std::string& key,
+                   blast::Metric blast::BlastSummary::*metric, int precision) {
+    std::vector<Column> columns = {{"outstanding sends", "sends"}};
+    for (std::uint64_t size : kSizes) {
+      columns.push_back({SizeName(size) + " " + unit,
+                         key + "_" + std::to_string(size)});
+    }
+    report.Begin(std::move(columns), "part", part);
+    for (std::size_t i = 0; i < send_sweep.size(); ++i) {
+      std::vector<Cell> row = {send_sweep[i]};
+      for (const blast::BlastSummary& s : summaries[i]) {
+        row.push_back(Mean(s.*metric, precision));
+      }
+      report.AddRow(std::move(row));
+    }
+    std::cout << title;
+    report.Print();
+  };
+  panel("11a", "-- Fig 11a: throughput --\n", "Mb/s", "mbps",
+        &blast::BlastSummary::throughput_mbps, 0);
+  panel("11b", "\n-- Fig 11b: direct:total transfer ratio --\n", "ratio",
+        "direct_ratio", &blast::BlastSummary::direct_ratio, 2);
 }
 
 }  // namespace
@@ -61,6 +73,8 @@ void Run(const Args& args) {
 int main(int argc, char** argv) {
   using namespace exs::bench;
   Args args = Args::Parse(argc, argv);
-  Run(args);
+  Report report("fig11", args);
+  Run(args, report);
+  report.Write(args.results_json_path);
   return 0;
 }

@@ -8,9 +8,7 @@
 // above every transfer is direct, because a message's transmission delay
 // exceeds the ADVERT round trip and the receiver always resupplies
 // ADVERTs in time.
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "support.hpp"
 
@@ -21,25 +19,13 @@ const std::vector<std::uint64_t> kSizes = {
     512,        2 * kKiB,   8 * kKiB,  32 * kKiB, 128 * kKiB,
     512 * kKiB, 2 * kMiB,   8 * kMiB,  32 * kMiB, 128 * kMiB};
 
-std::string SizeName(std::uint64_t s) {
-  if (s >= kMiB) return std::to_string(s / kMiB) + " MiB";
-  if (s >= kKiB) return std::to_string(s / kKiB) + " KiB";
-  return std::to_string(s) + " B";
-}
-
-struct Point {
-  std::uint64_t size = 0;
-  double mbps = 0.0;
-  double direct_ratio = 0.0;
-  double mode_switches = 0.0;
-};
-
-std::vector<Point> Run(const Args& args) {
+void Run(const Args& args, Report& report) {
   PrintBanner(std::cout, "Fig 12",
               "dynamic protocol vs message size (recvs=4, sends=2)", args);
-  Table table({"message size", "throughput Mb/s", "direct:total ratio",
-               "mode switches"});
-  std::vector<Point> points;
+  report.Begin({{"message size", "size"},
+                {"throughput Mb/s", "mbps"},
+                {"direct:total ratio", "direct_ratio"},
+                {"mode switches", "mode_switches"}});
   // --quick samples the small / knee / large regimes of the size curve.
   const std::vector<std::uint64_t> sizes =
       args.quick ? std::vector<std::uint64_t>{512, 32 * kKiB, 2 * kMiB}
@@ -60,41 +46,10 @@ std::vector<Point> Run(const Args& args) {
       c.message_count = std::min<std::uint64_t>(c.message_count, 30);
     }
     blast::BlastSummary s = blast::RunRepeated(c, args.runs);
-    table.AddRow({SizeName(size), FormatMetric(s.throughput_mbps, 0),
-                  FormatMetric(s.direct_ratio, 2),
-                  FormatMetric(s.mode_switches, 1)});
-    points.push_back(Point{size, s.throughput_mbps.mean, s.direct_ratio.mean,
-                           s.mode_switches.mean});
+    report.AddRow({Shown(SizeName(size), size), Mean(s.throughput_mbps, 0),
+                   Mean(s.direct_ratio, 2), Mean(s.mode_switches, 1)});
   }
-  table.Print(std::cout, args.csv);
-  return points;
-}
-
-void WriteJson(const Args& args, const std::vector<Point>& points) {
-  if (args.results_json_path.empty()) return;
-  std::ostringstream json;
-  json << "{\"bench\":\"fig12\",\"schema_version\":"
-       << kBenchJsonSchemaVersion << ",\"runs\":" << args.runs
-       << ",\"messages\":" << args.messages << ",\"points\":[";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    if (i) json << ",";
-    json << "{\"size\":" << p.size << ",\"mbps\":" << p.mbps
-         << ",\"direct_ratio\":" << p.direct_ratio
-         << ",\"mode_switches\":" << p.mode_switches << "}";
-  }
-  json << "]}";
-  if (args.results_json_path == "-") {
-    std::cout << json.str() << "\n";
-    return;
-  }
-  std::ofstream file(args.results_json_path, std::ios::trunc);
-  if (!file.good()) {
-    std::cerr << "cannot write " << args.results_json_path << "\n";
-    std::exit(2);
-  }
-  file << json.str() << "\n";
-  std::cout << "results written to " << args.results_json_path << "\n";
+  report.Print();
 }
 
 }  // namespace
@@ -103,6 +58,8 @@ void WriteJson(const Args& args, const std::vector<Point>& points) {
 int main(int argc, char** argv) {
   using namespace exs::bench;
   Args args = Args::Parse(argc, argv);
-  WriteJson(args, Run(args));
+  Report report("fig12", args);
+  Run(args, report);
+  report.Write(args.results_json_path);
   return 0;
 }

@@ -14,18 +14,20 @@
 namespace exs::bench {
 namespace {
 
-void Run(const Args& args) {
+void Run(const Args& args, Report& report) {
   PrintBanner(
       std::cout, "Fig 13",
       "throughput vs outstanding ops, 10GbE RoCE + 48 ms RTT (sends==recvs)",
       args);
-  Table table({"outstanding ops", "indirect-only Mb/s", "dynamic Mb/s",
-               "direct-only Mb/s"});
+  report.Begin({{"outstanding ops", "ops"},
+                {"indirect-only Mb/s", "indirect_mbps"},
+                {"dynamic Mb/s", "dynamic_mbps"},
+                {"direct-only Mb/s", "direct_mbps"}});
   // --quick keeps the sweep's endpoints and midpoint.
   const std::vector<std::uint32_t> sweep =
       args.quick ? std::vector<std::uint32_t>{1, 4, 16} : kOutstandingSweep;
   for (std::uint32_t k : sweep) {
-    std::vector<std::string> row = {std::to_string(k)};
+    std::vector<Cell> row = {k};
     for (ProtocolMode mode :
          {ProtocolMode::kIndirectOnly, ProtocolMode::kDynamic,
           ProtocolMode::kDirectOnly}) {
@@ -36,11 +38,11 @@ void Run(const Args& args) {
       // Runs over distance are long in simulated time; keep them bounded.
       c.message_count = std::min<std::uint64_t>(args.messages, 200);
       blast::BlastSummary s = blast::RunRepeated(c, args.runs);
-      row.push_back(FormatMetric(s.throughput_mbps, 0));
+      row.push_back(Mean(s.throughput_mbps, 0));
     }
-    table.AddRow(std::move(row));
+    report.AddRow(std::move(row));
   }
-  table.Print(std::cout, args.csv);
+  report.Print();
 }
 
 }  // namespace
@@ -49,6 +51,8 @@ void Run(const Args& args) {
 int main(int argc, char** argv) {
   using namespace exs::bench;
   Args args = Args::Parse(argc, argv);
-  Run(args);
+  Report report("fig13", args);
+  Run(args, report);
+  report.Write(args.results_json_path);
   return 0;
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the headline stream benchmarks and merge their JSON results into one
+# Run every experiment bench and merge their JSON results into one
 # machine-readable file at the repo root (BENCH_streams.json), which CI
 # archives as an artifact and gates on (see .github/workflows/ci.yml).
 #
@@ -39,10 +39,17 @@ done
 # schema_version (bench/support.hpp): this one covers the envelope below.
 suite_schema_version=2
 
+# New benches go at the end so existing entries keep their positions in
+# the merged file.  micro_simulator stays out: it measures wall-clock time.
 benches=(fig09_throughput_outstanding fig12_message_size ext_coalescing
-         ext_batching ext_striping ext_manystream ext_openloop)
+         ext_batching ext_striping ext_manystream ext_openloop
+         fig10_cpu_usage fig11_outstanding_sends fig13_wan_delay
+         table3_mode_switches ext_latency ext_jitter ext_bursty ext_mux
+         ext_busy_poll ext_rendezvous abl_buffer_size abl_ack_threshold
+         abl_credits abl_wwi_emulation)
 # Benches that also emit a per-stage latency provenance document
-# (--latency-json, see docs/OBSERVABILITY.md "Latency provenance").
+# (--latency-json, see docs/OBSERVABILITY.md "Latency provenance"), in
+# their order in the merged file.
 latency_benches=(ext_latency ext_manystream)
 
 tmp_dir="$(mktemp -d)"
@@ -50,7 +57,7 @@ trap 'rm -rf "${tmp_dir}"' EXIT
 
 require_bin() {
   if [[ ! -x "$1" ]]; then
-    echo "missing bench binary: $1 (build the 'bench' targets first)" >&2
+    echo "missing bench binary: $1 (build the exs_benches target first)" >&2
     exit 1
   fi
 }
@@ -71,8 +78,7 @@ for bench in "${benches[@]}"; do
   require_bin "${bin}"
   json="${tmp_dir}/${bench}.json"
   extra=()
-  # ext_manystream doubles as a latency bench: collect its span breakdown
-  # in the same invocation rather than running the sweep twice.
+  # Latency benches collect their span breakdown in the same invocation.
   for lb in "${latency_benches[@]}"; do
     if [[ "${lb}" == "${bench}" ]]; then
       extra+=(--latency-json "${tmp_dir}/${bench}.latency.json")
@@ -87,38 +93,27 @@ done
 
 latency_files=()
 for bench in "${latency_benches[@]}"; do
-  latency_json="${tmp_dir}/${bench}.latency.json"
-  if [[ ! -f "${latency_json}" ]]; then
-    bin="${build_dir}/bench/${bench}"
-    require_bin "${bin}"
-    echo "== ${bench} (latency provenance) =="
-    "${bin}" "${bench_args[@]}" "${passthrough[@]}" \
-      --latency-json "${latency_json}" ||
-      { echo "bench ${bench} (latency) failed (exit $?)" >&2; exit 1; }
-  fi
-  require_json "${bench}" "${latency_json}"
-  latency_files+=("${latency_json}")
+  require_json "${bench}" "${tmp_dir}/${bench}.latency.json"
+  latency_files+=("${tmp_dir}/${bench}.latency.json")
 done
 
 # Merge: one top-level object keyed by bench name.  Each bench emitted a
 # single-line JSON object with a "bench" discriminator; stitching them
 # preserves every byte of the per-bench payloads.
+join_json() {
+  local sep=''
+  for json in "$@"; do
+    printf '%s' "${sep}"
+    sep=','
+    tr -d '\n' < "${json}"
+  done
+}
 {
   printf '{"suite":"exs-stream-benches","schema_version":%s,"benches":[' \
     "${suite_schema_version}"
-  first=1
-  for json in "${json_files[@]}"; do
-    [[ ${first} -eq 1 ]] || printf ','
-    first=0
-    tr -d '\n' < "${json}"
-  done
+  join_json "${json_files[@]}"
   printf '],"latency":['
-  first=1
-  for json in "${latency_files[@]}"; do
-    [[ ${first} -eq 1 ]] || printf ','
-    first=0
-    tr -d '\n' < "${json}"
-  done
+  join_json "${latency_files[@]}"
   printf ']}\n'
 } > "${out_file}"
 

@@ -1,14 +1,22 @@
 #include "support.hpp"
 
-#include <cstring>
+#include <algorithm>
+#include <charconv>
+#include <climits>
+#include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <sstream>
+
+#include "common/check.hpp"
 
 namespace exs::bench {
 
 Args Args::Parse(int argc, char** argv) {
   Args args;
+  std::optional<int> runs;
+  std::optional<std::uint64_t> messages;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     // Accept both "--flag value" and "--flag=value".
@@ -27,16 +35,25 @@ Args Args::Parse(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto positive = [&](const char* name, std::uint64_t max) {
+      const std::string v = next_value(name);
+      std::uint64_t n = 0;
+      auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+      if (ec != std::errc{} || end != v.data() + v.size() || n == 0 ||
+          n > max) {
+        std::cerr << name << " needs a positive integer, got '" << v << "'\n";
+        std::exit(2);
+      }
+      return n;
+    };
     if (arg == "--csv") {
       args.csv = true;
     } else if (arg == "--quick") {
       args.quick = true;
-      args.runs = 3;
-      args.messages = 150;
     } else if (arg == "--runs") {
-      args.runs = std::stoi(next_value("--runs"));
+      runs = static_cast<int>(positive("--runs", INT_MAX));
     } else if (arg == "--messages") {
-      args.messages = std::stoull(next_value("--messages"));
+      messages = positive("--messages", UINT64_MAX);
     } else if (arg == "--metrics-json") {
       args.metrics_json_path = next_value("--metrics-json");
     } else if (arg == "--timeline-json") {
@@ -55,66 +72,184 @@ Args Args::Parse(int argc, char** argv) {
       std::exit(2);
     }
   }
+  args.runs = runs.value_or(args.quick ? 3 : args.runs);
+  args.messages = messages.value_or(args.quick ? 150 : args.messages);
   return args;
 }
 
-Table::Table(std::vector<std::string> headers)
-    : headers_(std::move(headers)) {}
+namespace {
 
-void Table::AddRow(std::vector<std::string> cells) {
-  rows_.push_back(std::move(cells));
+std::string Quote(const std::string& s) {
+  std::string out = "\"";
+  for (char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + "\"";
 }
 
-void Table::Print(std::ostream& os, bool csv) const {
-  if (csv) {
-    auto emit = [&os](const std::vector<std::string>& cells) {
+}  // namespace
+
+Cell::Cell(std::string s) : text(std::move(s)), json(Quote(text)) {}
+
+Cell::Cell(double v) {
+  std::ostringstream oss;
+  oss << v;
+  text = json = oss.str();
+}
+
+Cell Fixed(double v, int precision, const std::string& suffix) {
+  return Shown(FormatDouble(v, precision) + suffix, v);
+}
+
+Cell Mean(const blast::Metric& m, int precision) {
+  return Shown(
+      FormatDouble(m.mean, precision) + " ± " + FormatDouble(m.ci95, precision),
+      m.mean);
+}
+
+Cell Shown(std::string text, const Cell& value) {
+  Cell cell = value;
+  cell.text = std::move(text);
+  return cell;
+}
+
+Cell RawJson(std::string json) {
+  Cell cell("");
+  cell.json = std::move(json);
+  return cell;
+}
+
+Report::Report(std::string bench, const Args& args, bool record_runs)
+    : bench_(std::move(bench)), csv_(args.csv) {
+  if (record_runs) {
+    Set("runs", args.runs);
+    Set("messages", args.messages);
+  }
+}
+
+void Report::Set(std::string key, const Cell& value) {
+  fields_.emplace_back(std::move(key), value.json);
+}
+
+void Report::Begin(std::vector<Column> columns, std::string section,
+                   std::string label) {
+  // Without a section name the rows are the document's one "points" list.
+  EXS_CHECK(tables_.empty() || (!section.empty() && section == section_));
+  section_ = std::move(section);
+  tables_.push_back(Table{std::move(columns), std::move(label), {}});
+}
+
+void Report::AddRow(std::vector<Cell> cells) {
+  EXS_CHECK(!tables_.empty() && cells.size() == tables_.back().columns.size());
+  tables_.back().rows.push_back(std::move(cells));
+}
+
+void Report::Print() const {
+  EXS_CHECK(!tables_.empty());
+  const Table& table = tables_.back();
+  // The printed part of every row, headers first.
+  std::vector<std::vector<std::string>> lines(table.rows.size() + 1);
+  for (std::size_t c = 0; c < table.columns.size(); ++c) {
+    if (table.columns[c].header.empty()) continue;
+    lines[0].push_back(table.columns[c].header);
+    for (std::size_t r = 0; r < table.rows.size(); ++r) {
+      lines[r + 1].push_back(table.rows[r][c].text);
+    }
+  }
+  std::ostream& os = std::cout;
+  if (csv_) {
+    for (const auto& cells : lines) {
       for (std::size_t i = 0; i < cells.size(); ++i) {
         if (i) os << ",";
         // CSV cells drop the " ± " decoration into a plain dash-free form.
-        std::string c = cells[i];
-        auto pos = c.find(" ± ");
-        if (pos != std::string::npos) c = c.substr(0, pos);
-        os << c;
+        os << cells[i].substr(0, cells[i].find(" ± "));
       }
       os << "\n";
-    };
-    emit(headers_);
-    for (const auto& row : rows_) emit(row);
+    }
     return;
   }
-  std::vector<std::size_t> widths(headers_.size(), 0);
-  auto measure = [&widths](const std::vector<std::string>& cells) {
-    for (std::size_t i = 0; i < cells.size() && i < widths.size(); ++i) {
-      // " ± " is three bytes of UTF-8 punctuation; width accounting uses
-      // display length, so count the multibyte character once.
-      std::size_t display = cells[i].size();
-      std::size_t pos = cells[i].find("±");
-      if (pos != std::string::npos) display -= 2;  // UTF-8 extra bytes
-      if (display > widths[i]) widths[i] = display;
-    }
+  // " ± " is three bytes of UTF-8 punctuation; width accounting uses
+  // display length, so count the multibyte character once.
+  auto display = [](const std::string& cell) {
+    return cell.size() - (cell.find("±") != std::string::npos ? 2 : 0);
   };
-  measure(headers_);
-  for (const auto& row : rows_) measure(row);
-
+  std::vector<std::size_t> widths(lines[0].size(), 0);
+  for (const auto& cells : lines) {
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      widths[i] = std::max(widths[i], display(cells[i]));
+    }
+  }
   auto emit = [&](const std::vector<std::string>& cells) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      std::size_t display = cells[i].size();
-      std::size_t pos = cells[i].find("±");
-      if (pos != std::string::npos) display -= 2;
-      std::size_t pad = widths[i] > display ? widths[i] - display : 0;
-      if (i == 0) {
-        os << cells[i] << std::string(pad, ' ');
-      } else {
-        os << std::string(pad, ' ') << cells[i];
-      }
-      os << (i + 1 == cells.size() ? "\n" : "  ");
+      std::string pad(widths[i] - display(cells[i]), ' ');
+      os << (i == 0 ? cells[i] + pad : pad + cells[i])
+         << (i + 1 == cells.size() ? "\n" : "  ");
     }
   };
-  emit(headers_);
+  emit(lines[0]);
   std::size_t total = 0;
   for (std::size_t w : widths) total += w + 2;
   os << std::string(total > 2 ? total - 2 : total, '-') << "\n";
-  for (const auto& row : rows_) emit(row);
+  for (std::size_t r = 1; r < lines.size(); ++r) emit(lines[r]);
+}
+
+std::string Report::Json() const {
+  std::ostringstream json;
+  json << "{\"bench\":" << Quote(bench_)
+       << ",\"schema_version\":" << kBenchJsonSchemaVersion;
+  for (const auto& [key, value] : fields_) {
+    json << "," << Quote(key) << ":" << value;
+  }
+  auto points = [&json](const Table& table) {
+    json << "\"points\":[";
+    for (std::size_t r = 0; r < table.rows.size(); ++r) {
+      json << (r ? ",{" : "{");
+      const char* sep = "";
+      for (std::size_t c = 0; c < table.columns.size(); ++c) {
+        if (table.columns[c].key.empty()) continue;
+        json << sep << Quote(table.columns[c].key) << ":"
+             << table.rows[r][c].json;
+        sep = ",";
+      }
+      json << "}";
+    }
+    json << "]";
+  };
+  if (section_.empty() && !tables_.empty()) {
+    json << ",";
+    points(tables_.front());
+  } else if (!section_.empty()) {
+    json << "," << Quote(section_ + "s") << ":[";
+    for (std::size_t i = 0; i < tables_.size(); ++i) {
+      json << (i ? ",{" : "{") << Quote(section_) << ":"
+           << Quote(tables_[i].label) << ",";
+      points(tables_[i]);
+      json << "}";
+    }
+    json << "]";
+  }
+  json << "}";
+  return json.str();
+}
+
+void Report::Write(const std::string& path) const {
+  if (path.empty()) return;
+  const std::string doc = Json();
+  if (path == "-") {
+    std::cout << doc << "\n" << std::flush;
+    if (std::cout) return;
+  } else {
+    std::ofstream file(path, std::ios::trunc);
+    file << doc << "\n";
+    file.close();
+    if (file) {
+      std::cout << "results written to " << path << "\n";
+      return;
+    }
+  }
+  std::cerr << "cannot write " << path << "\n";
+  std::exit(2);
 }
 
 std::string FormatDouble(double v, int precision) {
@@ -123,9 +258,15 @@ std::string FormatDouble(double v, int precision) {
   return oss.str();
 }
 
-std::string FormatMetric(const blast::Metric& m, int precision) {
-  return FormatDouble(m.mean, precision) + " ± " +
-         FormatDouble(m.ci95, precision);
+std::string SizeName(std::uint64_t bytes) {
+  if (bytes >= kMiB) return std::to_string(bytes / kMiB) + " MiB";
+  if (bytes >= kKiB) return std::to_string(bytes / kKiB) + " KiB";
+  return std::to_string(bytes) + " B";
+}
+
+std::string CheckVerdict(bool ran, std::uint64_t violations) {
+  if (!ran) return "skipped";
+  return violations == 0 ? "ok" : "FAIL";
 }
 
 void PrintBanner(std::ostream& os, const std::string& experiment_id,

@@ -1,5 +1,7 @@
 // Shared scaffolding for the figure/table reproduction binaries: CLI
-// options, aligned table printing, and CSV output.
+// options and the Report every bench records its results in, which prints
+// the aligned table (or CSV) and writes the results JSON from the same
+// rows.
 //
 // Every binary prints the same series the corresponding paper figure
 // plots, as mean ± 95% confidence half-width over repeated seeded runs
@@ -8,9 +10,11 @@
 // and --quick for a fast smoke configuration.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "blast/blast.hpp"
@@ -25,6 +29,8 @@ inline constexpr int kBenchJsonSchemaVersion = 2;
 
 struct Args {
   bool csv = false;
+  /// --quick sets 3 runs and 150 messages unless --runs/--messages give
+  /// them explicitly, in either order.
   int runs = 10;
   std::uint64_t messages = 500;
   bool quick = false;
@@ -33,34 +39,93 @@ struct Args {
   /// for single-point inspection, see docs/OBSERVABILITY.md.
   std::string metrics_json_path;
   std::string timeline_json_path;
-  /// Machine-readable results file for benches that emit one ("-" =
-  /// stdout); CI archives it as an artifact.  Ignored by benches that
-  /// don't.
+  /// Machine-readable results file ("-" = stdout); bench/run_all.sh merges
+  /// it into BENCH_streams.json.
   std::string results_json_path;
-  /// Per-stage latency provenance (common/spans.hpp) for benches that
-  /// support it ("-" = stdout): a LatencyReport::ToJson() document, merged
-  /// into BENCH_streams.json by bench/run_all.sh.  Ignored by benches that
-  /// don't trace.
+  /// Per-stage latency provenance (common/spans.hpp) ("-" = stdout): a
+  /// LatencyReport::ToJson() document, merged into BENCH_streams.json by
+  /// bench/run_all.sh.  Only ext_latency and ext_manystream write one.
   std::string latency_json_path;
 
   static Args Parse(int argc, char** argv);
 };
 
-/// Aligned text table; first column left-aligned, the rest right-aligned.
-class Table {
- public:
-  explicit Table(std::vector<std::string> headers);
-  void AddRow(std::vector<std::string> cells);
-  void Print(std::ostream& os, bool csv) const;
-
- private:
-  std::vector<std::string> headers_;
-  std::vector<std::vector<std::string>> rows_;
+/// One field of a Report row.  An empty `header` keeps the field out of
+/// the table; an empty `key` keeps it out of the JSON.
+struct Column {
+  std::string header;
+  std::string key;
 };
 
-/// "<mean> ± <ci95>" with sensible precision.
-std::string FormatMetric(const blast::Metric& m, int precision = 1);
+/// One value of a Report row: its table text and its JSON text.  Numbers
+/// render in JSON as `operator<<` prints them.
+struct Cell {
+  Cell(std::string s);
+  Cell(const char* s) : Cell(std::string(s)) {}
+  Cell(double v);
+  Cell(bool b) : text(b ? "true" : "false"), json(text) {}
+  template <std::integral T>
+  Cell(T v) : text(std::to_string(v)), json(text) {}
+
+  std::string text;
+  std::string json;
+};
+
+/// `v` with `precision` decimals and `suffix` in the table; `v` in JSON.
+Cell Fixed(double v, int precision, const std::string& suffix = "");
+/// "<mean> ± <ci95>" in the table; the mean in JSON.
+Cell Mean(const blast::Metric& m, int precision);
+/// `text` in the table; `value`'s JSON.
+Cell Shown(std::string text, const Cell& value);
+/// An already rendered JSON value, e.g. a nested report.
+Cell RawJson(std::string json);
+
+/// A bench's results: run parameters and constants, then one or more
+/// tables whose rows are both printed and written as JSON points.
+///
+///   {"bench":NAME,"schema_version":V,<Set() fields...>,"points":[...]}
+///
+/// or, when the tables are sections (Begin() with a section name such as
+/// "part"), `"parts":[{"part":LABEL,"points":[...]},...]` in place of
+/// "points".  A report with no rows has neither.
+class Report {
+ public:
+  /// Records `runs` and `messages` first unless `record_runs` is false
+  /// (benches whose points are single deterministic runs).
+  Report(std::string bench, const Args& args, bool record_runs = true);
+
+  void Set(std::string key, const Cell& value);
+  /// Starts a table; AddRow() and Print() act on it.
+  void Begin(std::vector<Column> columns, std::string section = "",
+             std::string label = "");
+  void AddRow(std::vector<Cell> cells);
+  /// Prints the current table to stdout: aligned text (first column
+  /// left-aligned, the rest right-aligned), or CSV under --csv.
+  void Print() const;
+  /// Writes the JSON document to `path` ("-" = stdout; empty = nowhere).
+  /// Exits 2 if the write fails.
+  void Write(const std::string& path) const;
+
+ private:
+  struct Table {
+    std::vector<Column> columns;
+    std::string label;
+    std::vector<std::vector<Cell>> rows;
+  };
+  std::string Json() const;
+
+  std::string bench_;
+  bool csv_;
+  std::vector<std::pair<std::string, std::string>> fields_;
+  std::string section_;
+  std::vector<Table> tables_;
+};
+
 std::string FormatDouble(double v, int precision = 1);
+/// "512 B", "8 KiB", "2 MiB".
+std::string SizeName(std::uint64_t bytes);
+/// The check column: "ok", "FAIL", or "skipped" when the checker did not run.
+std::string CheckVerdict(bool ran, std::uint64_t violations);
 
 /// Banner naming the experiment and the paper artefact it regenerates.
 void PrintBanner(std::ostream& os, const std::string& experiment_id,

@@ -14,19 +14,20 @@
 namespace exs::bench {
 namespace {
 
-void Run(const Args& args) {
+void Run(const Args& args, Report& report) {
   PrintBanner(std::cout, "Table III",
               "dynamic-protocol mode switches and direct:total ratio", args);
-  Table table({"outstanding recvs", "outstanding sends", "mode switches",
-               "direct:total ratio"});
+  report.Begin({{"outstanding recvs", "recvs"},
+                {"outstanding sends", "sends"},
+                {"mode switches", "mode_switches"},
+                {"direct:total ratio", "direct_ratio"}});
   auto add_case = [&](std::uint32_t recvs, std::uint32_t sends) {
     blast::BlastConfig c = FdrBaseConfig(args);
     c.outstanding_recvs = recvs;
     c.outstanding_sends = sends;
     blast::BlastSummary s = blast::RunRepeated(c, args.runs);
-    table.AddRow({std::to_string(recvs), std::to_string(sends),
-                  FormatMetric(s.mode_switches, 1),
-                  FormatMetric(s.direct_ratio, 2)});
+    report.AddRow({recvs, sends, Mean(s.mode_switches, 1),
+                   Mean(s.direct_ratio, 2)});
   };
   // --quick keeps the sweep's endpoints and midpoint.
   const std::vector<std::uint32_t> sweep =
@@ -35,7 +36,7 @@ void Run(const Args& args) {
   for (std::uint32_t k : sweep) {
     if (k >= 2) add_case(k, k / 2);
   }
-  table.Print(std::cout, args.csv);
+  report.Print();
 }
 
 }  // namespace
@@ -44,6 +45,8 @@ void Run(const Args& args) {
 int main(int argc, char** argv) {
   using namespace exs::bench;
   Args args = Args::Parse(argc, argv);
-  Run(args);
+  Report report("table3", args);
+  Run(args, report);
+  report.Write(args.results_json_path);
   return 0;
 }
