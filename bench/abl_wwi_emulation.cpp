@@ -15,40 +15,6 @@
 namespace exs::bench {
 namespace {
 
-double PingPongRttUs(const simnet::HardwareProfile& profile,
-                     std::uint64_t size, int iterations,
-                     std::uint64_t seed) {
-  Simulation sim(profile, seed, /*carry_payload=*/false);
-  auto [client, server] = sim.CreateConnectedPair(SocketType::kStream);
-  std::vector<std::uint8_t> buf(size);
-  client->RegisterMemory(buf.data(), size);
-  server->RegisterMemory(buf.data(), size);  // distinct MRs, same memory
-
-  int remaining = iterations;
-  SimTime done = 0;
-  server->events().SetHandler([&, server = server](const Event& ev) {
-    if (ev.type != EventType::kRecvComplete) return;
-    server->Send(buf.data(), size);
-    server->Recv(buf.data(), size, RecvFlags{.waitall = true});
-  });
-  client->events().SetHandler([&, client = client](const Event& ev) {
-    if (ev.type != EventType::kRecvComplete) return;
-    if (--remaining <= 0) {
-      done = sim.Now();
-      return;
-    }
-    client->Recv(buf.data(), size, RecvFlags{.waitall = true});
-    client->Send(buf.data(), size);
-  });
-  server->Recv(buf.data(), size, RecvFlags{.waitall = true});
-  client->Recv(buf.data(), size, RecvFlags{.waitall = true});
-  sim.RunFor(Microseconds(50));
-  SimTime start = sim.Now();
-  client->Send(buf.data(), size);
-  sim.Run();
-  return ToMicroseconds(done - start) / iterations;
-}
-
 double WireMessagesPerTransfer(const simnet::HardwareProfile& profile) {
   Simulation sim(profile, 1, /*carry_payload=*/false);
   auto [client, server] = sim.CreateConnectedPair(SocketType::kStream);
@@ -99,8 +65,10 @@ void Run(const Args& args, Report& report) {
                              512ull * kKiB}) {
     RunningStats nat, emu;
     for (int r = 0; r < args.runs; ++r) {
-      nat.Add(PingPongRttUs(native, size, iterations, 100 + r));
-      emu.Add(PingPongRttUs(emulated, size, iterations, 100 + r));
+      nat.Add(PingPongRttUs(native, StreamOptions{}, size,
+                            iterations, 100 + r));
+      emu.Add(PingPongRttUs(emulated, StreamOptions{}, size,
+                            iterations, 100 + r));
     }
     std::vector<Cell> row = {Shown(SizeName(size), size),
                              Fixed(nat.Mean(), 2), Fixed(emu.Mean(), 2)};

@@ -17,40 +17,6 @@
 namespace exs::bench {
 namespace {
 
-double PingPongRttUs(const simnet::HardwareProfile& profile,
-                     std::uint64_t size, int iterations,
-                     std::uint64_t seed) {
-  Simulation sim(profile, seed, /*carry_payload=*/false);
-  auto [client, server] = sim.CreateConnectedPair(SocketType::kStream);
-  std::vector<std::uint8_t> buf(size);
-  client->RegisterMemory(buf.data(), size);
-  server->RegisterMemory(buf.data(), size);
-
-  int remaining = iterations;
-  SimTime done = 0;
-  server->events().SetHandler([&, server = server](const Event& ev) {
-    if (ev.type != EventType::kRecvComplete) return;
-    server->Send(buf.data(), size);
-    server->Recv(buf.data(), size, RecvFlags{.waitall = true});
-  });
-  client->events().SetHandler([&, client = client](const Event& ev) {
-    if (ev.type != EventType::kRecvComplete) return;
-    if (--remaining <= 0) {
-      done = sim.Now();
-      return;
-    }
-    client->Recv(buf.data(), size, RecvFlags{.waitall = true});
-    client->Send(buf.data(), size);
-  });
-  server->Recv(buf.data(), size, RecvFlags{.waitall = true});
-  client->Recv(buf.data(), size, RecvFlags{.waitall = true});
-  sim.RunFor(Microseconds(50));
-  SimTime start = sim.Now();
-  client->Send(buf.data(), size);
-  sim.Run();
-  return ToMicroseconds(done - start) / iterations;
-}
-
 void Run(const Args& args, Report& report) {
   PrintBanner(std::cout, "Ablation: busy polling",
               "event notification vs busy-polled completions, FDR IB",
@@ -69,8 +35,10 @@ void Run(const Args& args, Report& report) {
        {512ull, 8ull * kKiB, 128ull * kKiB, 1ull * kMiB}) {
     RunningStats nrtt, prtt;
     for (int r = 0; r < args.runs; ++r) {
-      nrtt.Add(PingPongRttUs(notified, size, iterations, 300 + r));
-      prtt.Add(PingPongRttUs(polled, size, iterations, 300 + r));
+      nrtt.Add(PingPongRttUs(notified, StreamOptions{}, size,
+                             iterations, 300 + r));
+      prtt.Add(PingPongRttUs(polled, StreamOptions{}, size,
+                             iterations, 300 + r));
     }
     std::vector<Cell> row = {Shown(SizeName(size), size),
                              Fixed(nrtt.Mean(), 1), Fixed(prtt.Mean(), 1)};

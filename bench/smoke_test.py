@@ -4,7 +4,9 @@
   bench/smoke_test.py BENCH                a tiny run whose --json document
                                            must be one object with "bench"
                                            and "schema_version"
-  bench/smoke_test.py --unwritable BENCH   --json /dev/full must exit 2
+  bench/smoke_test.py --unwritable BENCH [FLAG]
+                                           FLAG /dev/full (default --json)
+                                           must exit 2
 
 Registered as a ctest per bench by exs_add_bench (bench/CMakeLists.txt).
 """
@@ -18,16 +20,17 @@ import tempfile
 SMOKE_ARGS = ["--quick", "--runs", "1", "--messages", "40"]
 
 
-def run(bench, path):
-    return subprocess.run([bench, *SMOKE_ARGS, "--json", path],
+def run(bench, path, flag="--json"):
+    return subprocess.run([bench, *SMOKE_ARGS, flag, path],
                           stdout=subprocess.DEVNULL).returncode
 
 
 def main(argv):
     if argv[0] == "--unwritable":
-        rc = run(argv[1], "/dev/full")
+        flag = argv[2] if len(argv) > 2 else "--json"
+        rc = run(argv[1], "/dev/full", flag)
         if rc != 2:
-            print(f"writing results to /dev/full exited {rc}, expected 2")
+            print(f"{flag} /dev/full exited {rc}, expected 2")
             return 1
         return 0
     with tempfile.TemporaryDirectory() as tmp:

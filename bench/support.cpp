@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <charconv>
 #include <climits>
-#include <fstream>
+#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <optional>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/output.hpp"
 
 namespace exs::bench {
 
@@ -235,21 +236,8 @@ std::string Report::Json() const {
 
 void Report::Write(const std::string& path) const {
   if (path.empty()) return;
-  const std::string doc = Json();
-  if (path == "-") {
-    std::cout << doc << "\n" << std::flush;
-    if (std::cout) return;
-  } else {
-    std::ofstream file(path, std::ios::trunc);
-    file << doc << "\n";
-    file.close();
-    if (file) {
-      std::cout << "results written to " << path << "\n";
-      return;
-    }
-  }
-  std::cerr << "cannot write " << path << "\n";
-  std::exit(2);
+  WriteOutputOrExit(path, Json());
+  if (path != "-") std::cout << "results written to " << path << "\n";
 }
 
 std::string FormatDouble(double v, int precision) {
@@ -293,6 +281,49 @@ blast::BlastConfig WanBaseConfig(const Args& args) {
   blast::BlastConfig c = FdrBaseConfig(args);
   c.profile = simnet::HardwareProfile::RoCE10GWithDelay(Milliseconds(24));
   return c;
+}
+
+double PingPongRttUs(const simnet::HardwareProfile& profile,
+                     const StreamOptions& opts, std::uint64_t size,
+                     int iterations, std::uint64_t seed,
+                     spans::LatencyReport* latency) {
+  Simulation sim(profile, seed, /*carry_payload=*/false);
+  if (latency != nullptr) sim.EnableChunkSpans();
+  auto [client, server] = sim.CreateConnectedPair(SocketType::kStream, opts);
+
+  std::vector<std::uint8_t> ping(size), pong(size), ping_in(size),
+      pong_in(size);
+  client->RegisterMemory(ping.data(), size);
+  client->RegisterMemory(pong_in.data(), size);
+  server->RegisterMemory(pong.data(), size);
+  server->RegisterMemory(ping_in.data(), size);
+
+  int remaining = iterations;
+  SimTime last_recv = 0;
+  server->events().SetHandler([&, server = server](const Event& ev) {
+    if (ev.type != EventType::kRecvComplete) return;
+    server->Send(pong.data(), size);
+    server->Recv(ping_in.data(), size, RecvFlags{.waitall = true});
+  });
+  client->events().SetHandler([&, client = client](const Event& ev) {
+    if (ev.type != EventType::kRecvComplete) return;
+    if (--remaining <= 0) {
+      last_recv = sim.Now();
+      return;
+    }
+    client->Recv(pong_in.data(), size, RecvFlags{.waitall = true});
+    client->Send(ping.data(), size);
+  });
+
+  server->Recv(ping_in.data(), size, RecvFlags{.waitall = true});
+  client->Recv(pong_in.data(), size, RecvFlags{.waitall = true});
+  sim.RunFor(Microseconds(50));  // let the initial ADVERTs settle
+  const SimTime first_send = sim.Now();
+  client->Send(ping.data(), size);
+  sim.Run();
+
+  if (latency != nullptr) *latency = sim.chunk_spans()->BuildReport();
+  return ToMicroseconds(last_recv - first_send) / iterations;
 }
 
 }  // namespace exs::bench

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "blast/blast.hpp"
+#include "common/spans.hpp"
 
 namespace exs::bench {
 
@@ -142,5 +143,16 @@ blast::BlastConfig FdrBaseConfig(const Args& args);
 
 /// The distance testbed: 10 GbE RoCE through the emulator at 48 ms RTT.
 blast::BlastConfig WanBaseConfig(const Args& args);
+
+/// Ping-pong on one stream pair: the client sends `size` bytes, the server
+/// echoes every fully received ping, and the client sends the next ping on
+/// every fully received pong, `iterations` times.  Returns the mean round
+/// trip in simulated µs.  A non-null `latency` turns on causal chunk
+/// tracing (which schedules nothing, so timing is unchanged) and receives
+/// the run's per-stage report.
+double PingPongRttUs(const simnet::HardwareProfile& profile,
+                     const StreamOptions& opts, std::uint64_t size,
+                     int iterations, std::uint64_t seed,
+                     spans::LatencyReport* latency = nullptr);
 
 }  // namespace exs::bench

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "exs/exs.hpp"
+#include "exs/invariant_checker.hpp"
 
 namespace {
 
@@ -105,12 +106,12 @@ int main() {
 
   // The full protocol trace is available for inspection — and the lemmas
   // the paper proves about it can be machine-checked.
-  auto lemmas = ValidateConnectionTraces(client->tx_trace().events(),
-                                         server->rx_trace().events());
-  std::printf("lemma check over %zu sender + %zu receiver trace events: %s\n",
+  InvariantReport report = CheckStreamPair(client->tx_trace(),
+                                           server->rx_trace());
+  std::printf("invariant check over %zu sender + %zu receiver trace events: "
+              "%s\n",
               client->tx_trace().events().size(),
-              server->rx_trace().events().size(),
-              lemmas.ok() ? "all passed" : lemmas.Summary().c_str());
+              server->rx_trace().events().size(), report.Summary().c_str());
   std::printf("\nfirst sender trace records:\n");
   int shown = 0;
   for (const auto& ev : client->tx_trace().events()) {
@@ -120,5 +121,5 @@ int main() {
                 static_cast<unsigned long long>(ev.seq),
                 static_cast<unsigned long long>(ev.phase));
   }
-  return 0;
+  return report.ok() ? 0 : 1;
 }

@@ -1,11 +1,10 @@
 #include "blast/blast.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <unordered_map>
 
 #include "common/check.hpp"
+#include "common/output.hpp"
 #include "common/pattern.hpp"
 #include "common/rng.hpp"
 
@@ -18,20 +17,6 @@ bool CaptureMetrics(const BlastConfig& c) {
 
 bool CaptureTimeline(const BlastConfig& c) {
   return c.capture_timeline || !c.timeline_json_path.empty();
-}
-
-/// Write exporter output to `path`; "-" streams to stdout, "" is a no-op.
-void WriteOutput(const std::string& path, const std::string& content) {
-  if (path.empty()) return;
-  if (path == "-") {
-    std::fwrite(content.data(), 1, content.size(), stdout);
-    std::fputc('\n', stdout);
-    return;
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  EXS_CHECK_MSG(out.good(), "cannot open output file: " << path);
-  out << content << '\n';
-  EXS_CHECK_MSG(out.good(), "write failed: " << path);
 }
 
 /// Per-run driver: owns the simulation, the socket pair, and the client /
@@ -297,8 +282,8 @@ Metric Summarize(const std::vector<double>& samples) {
 BlastResult RunBlast(const BlastConfig& config) {
   BlastRun run(config);
   BlastResult result = run.Run();
-  WriteOutput(config.metrics_json_path, result.metrics_json);
-  WriteOutput(config.timeline_json_path, result.timeline_json);
+  WriteOutputOrExit(config.metrics_json_path, result.metrics_json);
+  WriteOutputOrExit(config.timeline_json_path, result.timeline_json);
   return result;
 }
 

@@ -64,8 +64,9 @@ struct BlastConfig {
 
   // Observability capture (see docs/OBSERVABILITY.md).  The JSON snapshots
   // land in BlastResult::metrics_json / timeline_json; the paths below
-  // additionally write them to disk ("-" writes to stdout).  Setting a
-  // path implies the corresponding capture flag.
+  // additionally write them to disk ("-" writes to stdout; a path that
+  // cannot be written exits the process with status 2).  Setting a path
+  // implies the corresponding capture flag.
   bool capture_metrics = false;
   bool capture_timeline = false;
   std::string metrics_json_path;

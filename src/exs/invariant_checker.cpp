@@ -33,12 +33,17 @@ void InvariantReport::Merge(const InvariantReport& other) {
 
 namespace {
 
-void Violation(InvariantReport& report, const TraceEvent& ev,
-               const std::string& what) {
+/// "t=<time>us <event>: <what>" — the form of every per-event finding.
+std::string At(const TraceEvent& ev, const std::string& what) {
   std::ostringstream oss;
   oss << "t=" << ToMicroseconds(ev.time) << "us " << ToString(ev.type) << ": "
       << what;
-  report.violations.push_back(oss.str());
+  return oss.str();
+}
+
+void Violation(InvariantReport& report, const TraceEvent& ev,
+               const std::string& what) {
+  report.violations.push_back(At(ev, what));
 }
 
 /// Truncation / not-enabled gate shared by every entry point.  Returns
@@ -72,53 +77,187 @@ bool AdmitLog(const TraceLog& log, const InvariantCheckOptions& opts,
   return true;
 }
 
-void MergeLemmas(InvariantReport& report, const TraceCheckResult& lemmas) {
-  report.violations.insert(report.violations.end(),
-                           lemmas.violations.begin(),
-                           lemmas.violations.end());
+/// A transport kill or a resume — the recovery path (docs/PROTOCOL.md
+/// §12).  Several rules change shape across a resume: posting re-bases at
+/// the delivered frontier, stripe numbering restarts at zero, and the rail
+/// count may shrink (failover), so the static rail bound and the cross-log
+/// conservation rules no longer apply to the whole trace.
+bool IsRecoveryMarker(TraceEventType type) {
+  return type == TraceEventType::kTransportKilled ||
+         type == TraceEventType::kResumeTx ||
+         type == TraceEventType::kResumeRx;
 }
 
-/// True when the trace records a transport kill or a resume — the recovery
-/// path (docs/PROTOCOL.md §12).  Several rules change shape across a
-/// resume: posting re-bases at the delivered frontier, stripe numbering
-/// restarts at zero, and the rail count may shrink (failover), so the
-/// static rail bound and the cross-log rail/ACK conservation no longer
-/// apply to the whole trace.
-bool HasRecoveryMarkers(const std::vector<TraceEvent>& events) {
-  for (const auto& ev : events) {
-    switch (ev.type) {
-      case TraceEventType::kTransportKilled:
-      case TraceEventType::kResumeTx:
-      case TraceEventType::kResumeRx:
-        return true;
-      default:
-        break;
-    }
+struct RailChunk {
+  std::uint64_t stripe;
+  std::uint64_t len;
+  bool indirect;
+};
+
+/// What one walk over a log leaves for the cross-log rules.
+struct SideTally {
+  std::uint64_t direct_bytes = 0;
+  std::uint64_t direct_count = 0;
+  std::uint64_t indirect_bytes = 0;
+  std::uint64_t adverts = 0;  ///< SEQPACKET: ADVERTs sent or consumed
+  /// Freed ring bytes: learned from ACKs at the sender; reported at the
+  /// receiver, standalone or piggybacked on an ADVERT.
+  std::uint64_t ack_bytes = 0;
+  /// The log holds a kill or resume marker.
+  bool recovery = false;
+  /// Striped connections: each rail's chunks in trace order.
+  std::vector<std::vector<RailChunk>> rails;
+};
+
+/// Tallies one posted or arrived data chunk.
+void NoteChunk(SideTally& t, const TraceEvent& ev, bool indirect,
+               std::uint32_t rails) {
+  if (indirect) {
+    t.indirect_bytes += ev.len;
+  } else {
+    t.direct_bytes += ev.len;
+    ++t.direct_count;
   }
-  return false;
+  if (rails > 1 && ev.msg_phase < rails) {
+    t.rails[ev.msg_phase].push_back({ev.msg_seq, ev.len, indirect});
+  }
 }
 
-/// Checker-specific sender rules beyond the PR-1 lemma validators:
-/// ADVERT-freshness at acceptance and posted-byte continuity, plus the
-/// striping numbering rules when the connection ran multi-rail.
-InvariantReport StreamSenderExtras(const std::vector<TraceEvent>& events,
-                                   const InvariantCheckOptions& opts) {
-  InvariantReport report;
-  const bool resumed = HasRecoveryMarkers(events);
-  std::uint64_t cum = 0;  // bytes posted so far (direct + indirect)
-  std::uint64_t next_stripe = 0;  // expected next delivery sequence
+/// Striping rules for one chunk (msg_seq = stripe, msg_phase = rail):
+/// stripes follow each other densely, and every chunk names a real rail.
+/// The rail-bound finding goes to `rail_bound`, kept only if the log never
+/// resumed — failover shrinks the rail count mid-trace.
+void CheckStripe(InvariantReport& report, std::vector<std::string>& rail_bound,
+                 const TraceEvent& ev, std::uint32_t rails,
+                 std::uint64_t& next_stripe, const char* gap,
+                 const char* where) {
+  if (ev.msg_seq != next_stripe) {
+    Violation(report, ev,
+              gap + std::to_string(ev.msg_seq) + ", expected " +
+                  std::to_string(next_stripe));
+  }
+  next_stripe = ev.msg_seq + 1;
+  if (ev.msg_phase >= rails) {
+    rail_bound.push_back(At(ev, std::string("chunk ") + where + " on rail " +
+                                    std::to_string(ev.msg_phase) + " of a " +
+                                    std::to_string(rails) +
+                                    "-rail connection"));
+  }
+}
+
+/// Every rule for the sender half of a stream connection, in one walk:
+///   - phase and sequence monotonicity, the foundation of every proof;
+///   - Lemma 1: ADVERTs always carry a direct phase number;
+///   - Lemma 3: a direct sender phase implies the most recent transfer
+///     was direct, and each transfer kind is posted only in its phase;
+///   - Lemma 4 / Theorem 1: an ADVERT accepted in a direct phase carries
+///     exactly that phase; one ending an indirect phase carries the exact
+///     sequence number; none carries a phase below the sender's (Fig. 8);
+///   - posted-byte continuity, coalescing conservation and, on striped
+///     connections, dense stripe numbering;
+///   - kResumeTx: posting re-bases at the delivered frontier, stripes
+///     restart at zero, and the phase never rewinds.
+SideTally SenderPass(const std::vector<TraceEvent>& events,
+                     const InvariantCheckOptions& opts,
+                     InvariantReport& report) {
+  SideTally t;
+  if (opts.rails > 1) t.rails.resize(opts.rails);
+  std::vector<std::string> rail_bound;
+  std::uint64_t last_phase = 0;
+  std::uint64_t last_seq = 0;
+  bool sent_anything = false;
+  bool last_transfer_indirect = false;
+  std::uint64_t cum = 0;             // bytes posted so far (direct + indirect)
+  std::uint64_t next_stripe = 0;     // expected next delivery sequence
   std::uint64_t staged_bytes = 0;    // staged since the last coalesce flush
   std::uint64_t staged_members = 0;  // sends staged since the last flush
   for (const auto& ev : events) {
+    if (IsRecoveryMarker(ev.type)) t.recovery = true;
+    if (ev.type == TraceEventType::kResumeTx) {
+      // The sender re-based on its peer's delivered frontier: posting
+      // restarts from the marker's seq (the unacknowledged suffix is
+      // retransmitted from there), so the monotonicity baseline restarts
+      // too, and stripe numbering restarts at zero on the surviving rails.
+      // Phase never rewinds, so its baseline carries forward.
+      if (ev.phase < last_phase) {
+        Violation(report, ev, "sender phase went backwards at resume");
+      }
+      last_phase = ev.phase;
+      last_seq = ev.seq;
+      last_transfer_indirect = false;
+      cum = ev.seq;
+      next_stripe = 0;
+      continue;
+    }
+    if (ev.phase < last_phase) {
+      Violation(report, ev, "sender phase went backwards");
+    }
+    if (ev.seq < last_seq) {
+      Violation(report, ev, "sender sequence went backwards");
+    }
+    last_phase = ev.phase;
+    last_seq = ev.seq;
+
     switch (ev.type) {
-      case TraceEventType::kResumeTx:
-        // The sender re-based on its peer's delivered frontier: posting
-        // restarts from the marker's seq (the unacknowledged suffix is
-        // retransmitted from there) and stripe numbering restarts at zero
-        // on the surviving rails.
-        cum = ev.seq;
-        next_stripe = 0;
+      case TraceEventType::kAdvertReceived:
+      case TraceEventType::kAdvertAccepted:
+      case TraceEventType::kAdvertDiscarded:
+        if (!PhaseIsDirect(ev.msg_phase)) {
+          Violation(report, ev, "Lemma 1: ADVERT with indirect phase");
+        }
+        if (ev.type != TraceEventType::kAdvertAccepted) break;
+        // Acceptance events record the sender state *before* the phase is
+        // advanced.
+        if (PhaseIsDirect(ev.phase) && ev.msg_phase != ev.phase) {
+          Violation(report, ev,
+                    "Lemma 4: accepted ADVERT phase differs from direct "
+                    "sender phase");
+        }
+        if (PhaseIsIndirect(ev.phase) && ev.msg_seq != ev.seq) {
+          Violation(report, ev,
+                    "Theorem 1: ADVERT ending an indirect phase must "
+                    "carry the exact sequence number");
+        }
+        if (ev.msg_phase < ev.phase) {
+          Violation(report, ev,
+                    "stale ADVERT accepted: message phase " +
+                        std::to_string(ev.msg_phase) +
+                        " below sender phase " + std::to_string(ev.phase));
+        }
+        // The next transfer of the new direct phase posts immediately;
+        // Lemma 3's "most recent transfer" bookkeeping rolls forward.
+        last_transfer_indirect = false;
         break;
+      case TraceEventType::kDirectPosted:
+      case TraceEventType::kIndirectPosted: {
+        const bool indirect = ev.type == TraceEventType::kIndirectPosted;
+        if (!indirect && !PhaseIsDirect(ev.phase)) {
+          Violation(report, ev, "direct transfer posted in indirect phase");
+        }
+        if (indirect && !PhaseIsIndirect(ev.phase)) {
+          Violation(report, ev, "indirect transfer posted in direct phase");
+        }
+        sent_anything = true;
+        last_transfer_indirect = indirect;
+        // Posting events record S_s *before* it advances, so a gap-free
+        // byte stream shows ev.seq == cumulative posted bytes.
+        if (ev.len == 0) {
+          Violation(report, ev, "zero-length transfer posted");
+        }
+        if (ev.seq != cum) {
+          Violation(report, ev,
+                    "posted byte sequence not contiguous: event at seq " +
+                        std::to_string(ev.seq) + ", expected " +
+                        std::to_string(cum));
+        }
+        cum += ev.len;
+        if (opts.rails > 1) {
+          CheckStripe(report, rail_bound, ev, opts.rails, next_stripe,
+                      "stripe sequence gap at posting: got ", "posted");
+        }
+        NoteChunk(t, ev, indirect, opts.rails);
+        break;
+      }
       case TraceEventType::kSendStaged:
         // Coalescing conservation, first half: every staged byte is
         // accounted until the flush that emits it.
@@ -150,129 +289,172 @@ InvariantReport StreamSenderExtras(const std::vector<TraceEvent>& events,
         staged_bytes = 0;
         staged_members = 0;
         break;
-      case TraceEventType::kAdvertAccepted:
-        // Freshness (Fig. 8): an accepted ADVERT never carries a phase
-        // below the sender's.  The direct-phase equality and the
-        // indirect-phase exact-sequence facts are Lemma 4 / Theorem 1 in
-        // the base validators; this catches the plain stale case those
-        // formulations assume away.
-        if (ev.msg_phase < ev.phase) {
-          Violation(report, ev,
-                    "stale ADVERT accepted: message phase " +
-                        std::to_string(ev.msg_phase) +
-                        " below sender phase " + std::to_string(ev.phase));
-        }
-        break;
-      case TraceEventType::kDirectPosted:
-      case TraceEventType::kIndirectPosted:
-        // Posting events record S_s *before* it advances, so a gap-free
-        // byte stream shows ev.seq == cumulative posted bytes.
-        if (ev.len == 0) {
-          Violation(report, ev, "zero-length transfer posted");
-        }
-        if (ev.seq != cum) {
-          Violation(report, ev,
-                    "posted byte sequence not contiguous: event at seq " +
-                        std::to_string(ev.seq) + ", expected " +
-                        std::to_string(cum));
-        }
-        cum += ev.len;
-        if (opts.rails > 1) {
-          // Striping: delivery sequence numbers are handed out densely in
-          // posting order, and every chunk names a real rail.
-          if (ev.msg_seq != next_stripe) {
-            Violation(report, ev,
-                      "stripe sequence gap at posting: got " +
-                          std::to_string(ev.msg_seq) + ", expected " +
-                          std::to_string(next_stripe));
-          }
-          next_stripe = ev.msg_seq + 1;
-          // The static rail bound only holds on a connection whose rail
-          // count never changed; failover shrinks it mid-trace.
-          if (!resumed && ev.msg_phase >= opts.rails) {
-            Violation(report, ev,
-                      "chunk posted on rail " + std::to_string(ev.msg_phase) +
-                          " of a " + std::to_string(opts.rails) +
-                          "-rail connection");
-          }
-        }
+      case TraceEventType::kAckReceived:
+        t.ack_bytes += ev.len;
         break;
       default:
         break;
     }
+
+    // Lemma 3, checked continuously.  (At the moment of a phase change to
+    // direct no transfer of the new phase exists yet; the posting rules
+    // above cover the change to indirect.)
+    if (PhaseIsDirect(ev.phase) && sent_anything && last_transfer_indirect) {
+      Violation(report, ev,
+                "Lemma 3: direct phase but most recent transfer indirect");
+    }
   }
-  return report;
+  if (!t.recovery) {
+    report.violations.insert(report.violations.end(), rail_bound.begin(),
+                             rail_bound.end());
+  }
+  return t;
 }
 
-/// Checker-specific receiver rules: consumed-byte continuity and the
-/// replayed intermediate-buffer occupancy with the safety-theorem
-/// emptiness conditions.  On striped connections, additionally: arrivals
-/// are *processed* in exact stripe order — the reassembly guarantee that
-/// makes the rest of the receiver rules oblivious to rail choice.
-InvariantReport StreamReceiverExtras(const std::vector<TraceEvent>& events,
-                                     const InvariantCheckOptions& opts) {
-  InvariantReport report;
-  const bool resumed = HasRecoveryMarkers(events);
-  std::uint64_t cum = 0;        // bytes landed in user memory so far
-  std::int64_t occupancy = 0;   // replayed intermediate-buffer bytes
+/// Every rule for the receiver half of a stream connection, in one walk:
+///   - phase and sequence (S_r) monotonicity, straight through resumes;
+///   - Lemma 1 at the source, and an ADVERT carries the receiver's phase;
+///   - Lemma 2: all ADVERTs between two indirect arrivals carry one phase;
+///   - ADVERT sequence numbers strictly increase (Theorem 1, b3/b4);
+///   - each arrival kind lands only in its phase;
+///   - received-byte continuity, and the intermediate buffer replayed from
+///     indirect arrivals and copy-outs: within [0, capacity], and empty at
+///     every ADVERT send, piggybacked ACK and direct arrival (Theorem 1);
+///   - on striped connections, arrivals processed in exact stripe order.
+SideTally ReceiverPass(const std::vector<TraceEvent>& events,
+                       const InvariantCheckOptions& opts,
+                       InvariantReport& report) {
+  SideTally t;
+  if (opts.rails > 1) t.rails.resize(opts.rails);
+  std::vector<std::string> rail_bound;
+  std::uint64_t last_phase = 0;
+  std::uint64_t last_seq = 0;
+  bool advert_seen_since_indirect = false;
+  std::uint64_t advert_phase_since_indirect = 0;
+  std::uint64_t last_advert_seq = 0;
+  bool have_last_advert_seq = false;
+  std::uint64_t cum = 0;          // bytes landed in user memory so far
+  std::int64_t occupancy = 0;     // replayed intermediate-buffer bytes
   std::uint64_t next_stripe = 0;  // expected next processed stripe seq
+  // Arrival/copy events record S_r *after* it advances, so a gap-free
+  // stream shows ev.seq == cumulative + this event.
+  auto received = [&](const TraceEvent& ev) {
+    if (ev.len == 0) {
+      Violation(report, ev, "zero-length arrival or copy");
+    }
+    if (ev.seq != cum + ev.len) {
+      Violation(report, ev,
+                "received byte sequence not contiguous: event ends at seq " +
+                    std::to_string(ev.seq) + ", expected " +
+                    std::to_string(cum + ev.len));
+    }
+    cum = ev.seq;
+  };
   for (const auto& ev : events) {
+    if (IsRecoveryMarker(ev.type)) t.recovery = true;
     if (ev.type == TraceEventType::kResumeRx) {
-      // Stripe reassembly restarts on the surviving rails.  The delivered
-      // byte counter `cum` deliberately runs through unreset: a resumed
-      // stream must stay gap-free and duplicate-free in user memory, so
-      // the continuity rules below hold across the marker unchanged.
+      // Post-resume ADVERTs restart at the delivered frontier, which is at
+      // or below the pre-kill estimate (S'_r collapses back to S_r), so the
+      // ADVERT-sequence baseline, Lemma 2's window and stripe reassembly
+      // restart here.  The delivered sequence (S_r, and `cum` with it)
+      // never rewinds: a resumed stream must stay gap-free and
+      // duplicate-free in user memory.
+      if (ev.phase < last_phase) {
+        Violation(report, ev, "receiver phase went backwards at resume");
+      }
+      if (ev.seq < last_seq) {
+        Violation(report, ev, "receiver sequence went backwards at resume");
+      }
+      last_phase = ev.phase;
+      last_seq = ev.seq;
+      have_last_advert_seq = false;
+      advert_seen_since_indirect = false;
       next_stripe = 0;
       continue;
     }
-    if (opts.rails > 1 && (ev.type == TraceEventType::kDirectArrived ||
-                           ev.type == TraceEventType::kIndirectArrived)) {
-      if (ev.msg_seq != next_stripe) {
-        Violation(report, ev,
-                  "stripe reassembly out of order: processed stripe " +
-                      std::to_string(ev.msg_seq) + ", expected " +
-                      std::to_string(next_stripe));
-      }
-      next_stripe = ev.msg_seq + 1;
-      if (!resumed && ev.msg_phase >= opts.rails) {
-        Violation(report, ev,
-                  "chunk arrived on rail " + std::to_string(ev.msg_phase) +
-                      " of a " + std::to_string(opts.rails) +
-                      "-rail connection");
-      }
+    if (ev.phase < last_phase) {
+      Violation(report, ev, "receiver phase went backwards");
     }
-    switch (ev.type) {
-      case TraceEventType::kDirectArrived:
-      case TraceEventType::kCopyOut:
-        // Arrival/copy events record S_r *after* it advances, so a
-        // gap-free stream shows ev.seq == cumulative + this event.
-        if (ev.len == 0) {
-          Violation(report, ev, "zero-length arrival or copy");
-        }
-        if (ev.seq != cum + ev.len) {
-          Violation(report, ev,
-                    "received byte sequence not contiguous: event ends at "
-                    "seq " +
-                        std::to_string(ev.seq) + ", expected " +
-                        std::to_string(cum + ev.len));
-        }
-        cum = ev.seq;
-        break;
-      default:
-        break;
+    if (ev.seq < last_seq) {
+      Violation(report, ev, "receiver sequence went backwards");
     }
+    last_phase = ev.phase;
+    last_seq = ev.seq;
 
     switch (ev.type) {
+      case TraceEventType::kAdvertSent:
+        if (!PhaseIsDirect(ev.msg_phase)) {
+          Violation(report, ev, "Lemma 1: ADVERT sent with indirect phase");
+        }
+        if (ev.msg_phase != ev.phase) {
+          Violation(report, ev,
+                    "ADVERT phase differs from receiver phase at send");
+        }
+        if (advert_seen_since_indirect &&
+            ev.msg_phase != advert_phase_since_indirect) {
+          Violation(report, ev,
+                    "Lemma 2: ADVERT phase changed without an intervening "
+                    "indirect transfer");
+        }
+        advert_seen_since_indirect = true;
+        advert_phase_since_indirect = ev.msg_phase;
+        if (have_last_advert_seq && ev.msg_seq <= last_advert_seq) {
+          Violation(report, ev,
+                    "ADVERT sequence numbers not strictly increasing");
+        }
+        last_advert_seq = ev.msg_seq;
+        have_last_advert_seq = true;
+        // Fig. 3 gate, observable form: no ADVERT leaves while buffered
+        // bytes remain.
+        if (occupancy != 0) {
+          Violation(report, ev,
+                    "ADVERT sent while the intermediate buffer holds " +
+                        std::to_string(occupancy) +
+                        " byte(s) — Fig. 3 gate violated");
+        }
+        break;
       case TraceEventType::kIndirectArrived:
+        if (opts.rails > 1) {
+          CheckStripe(report, rail_bound, ev, opts.rails, next_stripe,
+                      "stripe reassembly out of order: processed stripe ",
+                      "arrived");
+        }
+        if (!PhaseIsIndirect(ev.phase)) {
+          Violation(report, ev,
+                    "indirect arrival left receiver in a direct phase");
+        }
+        advert_seen_since_indirect = false;
         occupancy += static_cast<std::int64_t>(ev.len);
         if (opts.rx_ring_capacity != 0 &&
-            occupancy >
-                static_cast<std::int64_t>(opts.rx_ring_capacity)) {
+            occupancy > static_cast<std::int64_t>(opts.rx_ring_capacity)) {
           Violation(report, ev,
                     "intermediate buffer overflow: occupancy " +
                         std::to_string(occupancy) + " exceeds capacity " +
                         std::to_string(opts.rx_ring_capacity));
         }
+        NoteChunk(t, ev, /*indirect=*/true, opts.rails);
+        break;
+      case TraceEventType::kDirectArrived:
+        if (opts.rails > 1) {
+          CheckStripe(report, rail_bound, ev, opts.rails, next_stripe,
+                      "stripe reassembly out of order: processed stripe ",
+                      "arrived");
+        }
+        // The safety property's observable: direct data is only accepted
+        // in a direct phase, and only when nothing is buffered ahead of it
+        // (Theorem 1).
+        if (!PhaseIsDirect(ev.phase)) {
+          Violation(report, ev, "direct arrival in an indirect phase");
+        }
+        if (occupancy != 0) {
+          Violation(report, ev,
+                    "direct transfer arrived while the intermediate buffer "
+                    "holds " +
+                        std::to_string(occupancy) +
+                        " byte(s) — safety theorem violated");
+        }
+        NoteChunk(t, ev, /*indirect=*/false, opts.rails);
+        received(ev);
         break;
       case TraceEventType::kCopyOut:
         occupancy -= static_cast<std::int64_t>(ev.len);
@@ -282,16 +464,7 @@ InvariantReport StreamReceiverExtras(const std::vector<TraceEvent>& events,
                     "(occupancy " +
                         std::to_string(occupancy) + ")");
         }
-        break;
-      case TraceEventType::kAdvertSent:
-        // Fig. 3 gate, observable form: no ADVERT leaves while buffered
-        // bytes remain.
-        if (occupancy != 0) {
-          Violation(report, ev,
-                    "ADVERT sent while the intermediate buffer holds " +
-                        std::to_string(occupancy) +
-                        " byte(s) — Fig. 3 gate violated");
-        }
+        received(ev);
         break;
       case TraceEventType::kAckPiggybacked:
         // A piggybacked ACK rides an ADVERT, so it inherits the ADVERT's
@@ -302,23 +475,20 @@ InvariantReport StreamReceiverExtras(const std::vector<TraceEvent>& events,
                     "buffer holds " +
                         std::to_string(occupancy) + " byte(s)");
         }
+        t.ack_bytes += ev.len;
         break;
-      case TraceEventType::kDirectArrived:
-        // Theorem 1, observable form: a direct transfer lands only when
-        // nothing is buffered ahead of it.
-        if (occupancy != 0) {
-          Violation(report, ev,
-                    "direct transfer arrived while the intermediate buffer "
-                    "holds " +
-                        std::to_string(occupancy) +
-                        " byte(s) — safety theorem violated");
-        }
+      case TraceEventType::kAckSent:
+        t.ack_bytes += ev.len;
         break;
       default:
         break;
     }
   }
-  return report;
+  if (!t.recovery) {
+    report.violations.insert(report.violations.end(), rail_bound.begin(),
+                             rail_bound.end());
+  }
+  return t;
 }
 
 // ---------------------------------------------------------------------------
@@ -340,9 +510,9 @@ bool IsReceiverSideType(TraceEventType type) {
   }
 }
 
-InvariantReport SeqPacketCommon(const std::vector<TraceEvent>& events,
-                                bool receiver_side) {
-  InvariantReport report;
+SideTally SeqPacketPass(const std::vector<TraceEvent>& events,
+                        bool receiver_side, InvariantReport& report) {
+  SideTally t;
   std::uint64_t cum = 0;
   std::uint64_t last_advert_counter = 0;
   for (const auto& ev : events) {
@@ -372,6 +542,7 @@ InvariantReport SeqPacketCommon(const std::vector<TraceEvent>& events,
                         " — lost, duplicated, or reordered ADVERT");
         }
         last_advert_counter = ev.msg_seq;
+        ++t.adverts;
         break;
       case TraceEventType::kDirectPosted:
         if (ev.seq != cum) {
@@ -381,6 +552,7 @@ InvariantReport SeqPacketCommon(const std::vector<TraceEvent>& events,
                         std::to_string(cum));
         }
         cum += ev.len;
+        NoteChunk(t, ev, /*indirect=*/false, /*rails=*/1);
         break;
       case TraceEventType::kDirectArrived:
         if (ev.seq != cum + ev.len) {
@@ -391,37 +563,7 @@ InvariantReport SeqPacketCommon(const std::vector<TraceEvent>& events,
                         std::to_string(cum + ev.len));
         }
         cum = ev.seq;
-        break;
-      default:
-        break;
-    }
-  }
-  return report;
-}
-
-struct KindTotals {
-  std::uint64_t direct_bytes = 0;
-  std::uint64_t direct_count = 0;
-  std::uint64_t indirect_bytes = 0;
-  std::uint64_t adverts = 0;
-};
-
-KindTotals Tally(const std::vector<TraceEvent>& events) {
-  KindTotals t;
-  for (const auto& ev : events) {
-    switch (ev.type) {
-      case TraceEventType::kDirectPosted:
-      case TraceEventType::kDirectArrived:
-        t.direct_bytes += ev.len;
-        ++t.direct_count;
-        break;
-      case TraceEventType::kIndirectPosted:
-      case TraceEventType::kIndirectArrived:
-        t.indirect_bytes += ev.len;
-        break;
-      case TraceEventType::kAdvertSent:
-      case TraceEventType::kAdvertReceived:
-        ++t.adverts;
+        NoteChunk(t, ev, /*indirect=*/false, /*rails=*/1);
         break;
       default:
         break;
@@ -430,23 +572,34 @@ KindTotals Tally(const std::vector<TraceEvent>& events) {
   return t;
 }
 
+/// Byte conservation by kind across one stream direction.
+void CheckByteConservation(InvariantReport& report, const char* kind,
+                           std::uint64_t posted, std::uint64_t arrived) {
+  if (posted != arrived) {
+    report.violations.push_back(std::string(kind) +
+                                " byte conservation failed: posted " +
+                                std::to_string(posted) + ", arrived " +
+                                std::to_string(arrived));
+  }
+}
+
 }  // namespace
 
 InvariantReport CheckStreamSenderTrace(const TraceLog& log,
                                        const InvariantCheckOptions& opts) {
   InvariantReport report;
-  if (!AdmitLog(log, opts, "sender", report)) return report;
-  MergeLemmas(report, ValidateSenderTrace(log.events()));
-  report.Merge(StreamSenderExtras(log.events(), opts));
+  if (AdmitLog(log, opts, "sender", report)) {
+    SenderPass(log.events(), opts, report);
+  }
   return report;
 }
 
 InvariantReport CheckStreamReceiverTrace(const TraceLog& log,
                                          const InvariantCheckOptions& opts) {
   InvariantReport report;
-  if (!AdmitLog(log, opts, "receiver", report)) return report;
-  MergeLemmas(report, ValidateReceiverTrace(log.events()));
-  report.Merge(StreamReceiverExtras(log.events(), opts));
+  if (AdmitLog(log, opts, "receiver", report)) {
+    ReceiverPass(log.events(), opts, report);
+  }
   return report;
 }
 
@@ -457,22 +610,19 @@ InvariantReport CheckStreamPair(const TraceLog& sender_log,
   bool sender_ok = AdmitLog(sender_log, opts, "sender", report);
   bool receiver_ok = AdmitLog(receiver_log, opts, "receiver", report);
   if (!sender_ok || !receiver_ok) return report;
-
-  // The pair validator runs both per-side lemma sets plus conservation.
-  MergeLemmas(report, ValidateConnectionTraces(sender_log.events(),
-                                               receiver_log.events()));
-  report.Merge(StreamSenderExtras(sender_log.events(), opts));
-  report.Merge(StreamReceiverExtras(receiver_log.events(), opts));
+  const SideTally tx = SenderPass(sender_log.events(), opts, report);
+  const SideTally rx = ReceiverPass(receiver_log.events(), opts, report);
 
   // Across a kill/resume the cross-log conservation rules no longer hold
-  // as stated: retransmitted chunks are posted twice (so per-rail arrivals
-  // are not a prefix of per-rail posts), failover renumbers rails, and
-  // ACKs in flight at the kill are lost while the resume handshake restores
-  // the sender's ring view without a kAckReceived event.  The per-side
-  // rules above — including delivered-byte continuity — still ran; skip
-  // only the pairwise ones, loudly.
-  if (HasRecoveryMarkers(sender_log.events()) ||
-      HasRecoveryMarkers(receiver_log.events())) {
+  // as stated: chunks in flight at the kill were posted but never arrive,
+  // their retransmission may ride the other kind and is posted twice (so
+  // per-rail arrivals are not a prefix of per-rail posts), failover
+  // renumbers rails, and ACKs in flight at the kill are lost while the
+  // resume handshake restores the sender's ring view without a
+  // kAckReceived event.  The per-side rules above — including
+  // delivered-byte continuity — still ran; skip only the pairwise ones,
+  // loudly.
+  if (tx.recovery || rx.recovery) {
     report.warnings.push_back(
         "kill/resume markers present: rail and ACK conservation "
         "cross-checks skipped (delivered-byte equivalence is proven by the "
@@ -480,85 +630,51 @@ InvariantReport CheckStreamPair(const TraceLog& sender_log,
     return report;
   }
 
-  if (opts.rails > 1) {
-    // Per-rail conservation: the chunks that arrived on a rail are exactly
-    // a prefix of the chunks posted on it, in order, with matching length
-    // and kind.  (A prefix, not equality: chunks may still be in flight
-    // when a trace ends.)
-    struct RailChunk {
-      std::uint64_t stripe;
-      std::uint64_t len;
-      bool indirect;
-    };
-    std::vector<std::vector<RailChunk>> posted(opts.rails);
-    std::vector<std::vector<RailChunk>> arrived(opts.rails);
-    for (const auto& ev : sender_log.events()) {
-      if ((ev.type == TraceEventType::kDirectPosted ||
-           ev.type == TraceEventType::kIndirectPosted) &&
-          ev.msg_phase < opts.rails) {
-        posted[ev.msg_phase].push_back(
-            {ev.msg_seq, ev.len,
-             ev.type == TraceEventType::kIndirectPosted});
-      }
+  // Conservation: bytes posted by kind equal bytes arriving by kind.
+  CheckByteConservation(report, "direct", tx.direct_bytes, rx.direct_bytes);
+  CheckByteConservation(report, "indirect", tx.indirect_bytes,
+                        rx.indirect_bytes);
+
+  // Per-rail conservation: the chunks that arrived on a rail are exactly a
+  // prefix of the chunks posted on it, in order, with matching length and
+  // kind.  (A prefix, not equality: chunks may still be in flight when a
+  // trace ends.)
+  for (std::size_t rail = 0; rail < tx.rails.size(); ++rail) {
+    const std::vector<RailChunk>& posted = tx.rails[rail];
+    const std::vector<RailChunk>& arrived = rx.rails[rail];
+    if (arrived.size() > posted.size()) {
+      report.violations.push_back(
+          "rail " + std::to_string(rail) + " delivered " +
+          std::to_string(arrived.size()) + " chunk(s) but only " +
+          std::to_string(posted.size()) + " were posted on it");
+      continue;
     }
-    for (const auto& ev : receiver_log.events()) {
-      if ((ev.type == TraceEventType::kDirectArrived ||
-           ev.type == TraceEventType::kIndirectArrived) &&
-          ev.msg_phase < opts.rails) {
-        arrived[ev.msg_phase].push_back(
-            {ev.msg_seq, ev.len,
-             ev.type == TraceEventType::kIndirectArrived});
-      }
-    }
-    for (std::uint32_t rail = 0; rail < opts.rails; ++rail) {
-      if (arrived[rail].size() > posted[rail].size()) {
+    for (std::size_t i = 0; i < arrived.size(); ++i) {
+      const RailChunk& p = posted[i];
+      const RailChunk& r = arrived[i];
+      if (p.stripe != r.stripe || p.len != r.len ||
+          p.indirect != r.indirect) {
         report.violations.push_back(
-            "rail " + std::to_string(rail) + " delivered " +
-            std::to_string(arrived[rail].size()) +
-            " chunk(s) but only " + std::to_string(posted[rail].size()) +
-            " were posted on it");
-        continue;
-      }
-      for (std::size_t i = 0; i < arrived[rail].size(); ++i) {
-        const RailChunk& p = posted[rail][i];
-        const RailChunk& r = arrived[rail][i];
-        if (p.stripe != r.stripe || p.len != r.len ||
-            p.indirect != r.indirect) {
-          report.violations.push_back(
-              "rail " + std::to_string(rail) + " chunk " +
-              std::to_string(i) + " mismatch: posted (stripe " +
-              std::to_string(p.stripe) + ", " + std::to_string(p.len) +
-              " bytes, " + (p.indirect ? "indirect" : "direct") +
-              "), arrived (stripe " + std::to_string(r.stripe) + ", " +
-              std::to_string(r.len) + " bytes, " +
-              (r.indirect ? "indirect" : "direct") + ")");
-          break;
-        }
+            "rail " + std::to_string(rail) + " chunk " + std::to_string(i) +
+            " mismatch: posted (stripe " + std::to_string(p.stripe) + ", " +
+            std::to_string(p.len) + " bytes, " +
+            (p.indirect ? "indirect" : "direct") + "), arrived (stripe " +
+            std::to_string(r.stripe) + ", " + std::to_string(r.len) +
+            " bytes, " + (r.indirect ? "indirect" : "direct") + ")");
+        break;
       }
     }
   }
 
   // ACK conservation: the sender can never learn of more freed buffer
-  // space than the receiver reported — whether the count travelled as a
-  // standalone ACK or rode an ADVERT.  (Equality need not hold: ACKs may
+  // space than the receiver reported.  (Equality need not hold: ACKs may
   // still be in flight when a trace ends.)
-  std::uint64_t freed_reported = 0;
-  for (const auto& ev : receiver_log.events()) {
-    if (ev.type == TraceEventType::kAckSent ||
-        ev.type == TraceEventType::kAckPiggybacked) {
-      freed_reported += ev.len;
-    }
-  }
-  std::uint64_t freed_learned = 0;
-  for (const auto& ev : sender_log.events()) {
-    if (ev.type == TraceEventType::kAckReceived) freed_learned += ev.len;
-  }
-  if (freed_learned > freed_reported) {
+  if (tx.ack_bytes > rx.ack_bytes) {
     report.violations.push_back(
         "ACK conservation failed: sender released " +
-        std::to_string(freed_learned) +
+        std::to_string(tx.ack_bytes) +
         " byte(s) of buffer space but the receiver only reported " +
-        std::to_string(freed_reported));
+        std::to_string(rx.ack_bytes));
   }
   return report;
 }
@@ -566,16 +682,18 @@ InvariantReport CheckStreamPair(const TraceLog& sender_log,
 InvariantReport CheckSeqPacketSenderTrace(const TraceLog& log,
                                           const InvariantCheckOptions& opts) {
   InvariantReport report;
-  if (!AdmitLog(log, opts, "sender", report)) return report;
-  report.Merge(SeqPacketCommon(log.events(), /*receiver_side=*/false));
+  if (AdmitLog(log, opts, "sender", report)) {
+    SeqPacketPass(log.events(), /*receiver_side=*/false, report);
+  }
   return report;
 }
 
 InvariantReport CheckSeqPacketReceiverTrace(
     const TraceLog& log, const InvariantCheckOptions& opts) {
   InvariantReport report;
-  if (!AdmitLog(log, opts, "receiver", report)) return report;
-  report.Merge(SeqPacketCommon(log.events(), /*receiver_side=*/true));
+  if (AdmitLog(log, opts, "receiver", report)) {
+    SeqPacketPass(log.events(), /*receiver_side=*/true, report);
+  }
   return report;
 }
 
@@ -586,13 +704,12 @@ InvariantReport CheckSeqPacketPair(const TraceLog& sender_log,
   bool sender_ok = AdmitLog(sender_log, opts, "sender", report);
   bool receiver_ok = AdmitLog(receiver_log, opts, "receiver", report);
   if (!sender_ok || !receiver_ok) return report;
-  report.Merge(SeqPacketCommon(sender_log.events(), /*receiver_side=*/false));
-  report.Merge(
-      SeqPacketCommon(receiver_log.events(), /*receiver_side=*/true));
+  const SideTally tx =
+      SeqPacketPass(sender_log.events(), /*receiver_side=*/false, report);
+  const SideTally rx =
+      SeqPacketPass(receiver_log.events(), /*receiver_side=*/true, report);
 
   // Conservation across the wire: every posted message arrived, whole.
-  KindTotals tx = Tally(sender_log.events());
-  KindTotals rx = Tally(receiver_log.events());
   if (tx.direct_count != rx.direct_count) {
     report.violations.push_back(
         "SEQPACKET message conservation failed: posted " +

@@ -1,13 +1,21 @@
 // Trace-replay invariant checker: the paper's safety theorem, validated
 // against what actually happened on every run.
 //
-// The PR-1 lemma validators (exs/trace.hpp) check the statements of §IV-A
-// event by event.  This layer builds on them with the *stateful* facts the
-// safety proof rests on — reconstructed by replaying the TraceLog:
+// Each stream log is walked once, by a sender pass or a receiver pass that
+// holds every rule for its side; the pair checks then compare the two
+// passes' tallies.  The rules, reconstructed by replaying the TraceLog:
 //
 //   truncation    — a TraceLog that dropped events is refused outright
 //                   (a partial trace can hide exactly the violation being
 //                   hunted), with a diagnostic naming the remedy;
+//   lemmas (§IV-A) — Lemma 1: every ADVERT carries a direct (even) phase;
+//                   Lemma 2: between indirect arrivals, all ADVERTs carry
+//                   one phase; Lemma 3: a direct sender phase implies the
+//                   most recent transfer was direct; Lemma 4: an ADVERT
+//                   accepted while the sender is direct carries exactly
+//                   its phase, and one ending an indirect phase carries
+//                   the exact sequence number (Theorem 1); phases and
+//                   sequences never go backwards;
 //   staleness     — an accepted ADVERT never carries a phase below the
 //                   sender's (no stale-sequence acceptance, Fig. 8);
 //   continuity    — posted/arrived/copied byte sequences advance by
@@ -17,7 +25,14 @@
 //                   nor goes negative, and is *empty* at every ADVERT
 //                   send and direct arrival — the observable form of
 //                   "a direct transfer always lands at the head of the
-//                   receive queue" (Theorem 1).
+//                   receive queue" (Theorem 1);
+//   conservation  — bytes posted by kind arrive by kind, each rail's
+//                   arrivals are a prefix of its posts, and the sender
+//                   never learns of more freed ring space than the
+//                   receiver reported (skipped across a kill/resume).
+//
+// Striping, coalescing and resume markers add their own rules to the same
+// passes (see InvariantCheckOptions and docs/FAULTS.md).
 //
 // CheckConnection() dispatches on socket type: SOCK_SEQPACKET traces are
 // checked against the simpler §II-C rules (no phases, no indirect path,

@@ -151,9 +151,10 @@ class Socket : public simnet::TransportKillTarget {
 
   /// Record protocol traces for this socket (off by default).  The
   /// outgoing stream's sender events and the incoming stream's receiver
-  /// events are kept separately so the lemma validators in exs/trace.hpp
-  /// can run on each.  `capacity` bounds each log (0 = unbounded); see
-  /// TraceLog::SetCapacity for the drop semantics.
+  /// events are kept separately so the invariant checker
+  /// (exs/invariant_checker.hpp) can walk each.  `capacity` bounds each
+  /// log (0 = unbounded); see TraceLog::SetCapacity for the drop
+  /// semantics.
   void EnableTracing(std::size_t capacity = 0) {
     tx_trace_.SetCapacity(capacity);
     rx_trace_.SetCapacity(capacity);

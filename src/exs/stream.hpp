@@ -188,7 +188,7 @@ class StreamTx {
   // ---- Fatal-fault recovery (StreamOptions::recovery) --------------------
 
   /// The transport died under this half: record the kill in the trace so
-  /// the validators switch to their resume-aware rules.
+  /// the invariant checker switches to its resume-aware rules.
   void NoteTransportKilled() { Trace(TraceEventType::kTransportKilled); }
 
   /// Everything the sender needs to re-synchronise at the receiver's
@@ -575,11 +575,8 @@ class StreamRx {
   /// Fig. 5: copy buffered bytes into pending receives FIFO, charging the
   /// node CPU at memcpy bandwidth.
   void DrainRing();
-  /// Coalescing: fold pending ACK free-counts into outgoing ADVERTs?
-  bool PiggybackAcks() const {
-    return ctx_.options.coalesce.enabled &&
-           ctx_.options.coalesce.piggyback_acks;
-  }
+  /// Coalescing folds pending ACK free-counts into outgoing ADVERTs.
+  bool PiggybackAcks() const { return ctx_.options.coalesce.enabled; }
   bool RecoveryOn() const { return ctx_.options.recovery.enabled; }
   void MaybeSendAck();
   void CompleteFront();

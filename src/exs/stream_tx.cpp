@@ -306,7 +306,7 @@ void StreamTx::FlushCoalesced(CoalesceFlushReason reason) {
 void StreamTx::OnAdvert(const wire::ControlMessage& msg) {
   NoteDelivered(msg.delivered);
   if (msg.ack_piggyback != 0) {
-    // The ADVERT doubles as an ACK (Coalesce::piggyback_acks): release the
+    // The ADVERT doubles as an ACK (coalescing piggyback): release the
     // freed buffer space first, exactly as the standalone ACK it replaces
     // would have been processed first (it would have been sent earlier).
     remote_ring_.ReleaseFree(msg.freed);
@@ -431,7 +431,8 @@ void StreamTx::PumpChunks() {
       if (rail == kNoRail) return;  // resumed by credit return on any rail
       if (advert.filled == 0) {
         // First chunk into this ADVERT: record the match with the sender
-        // state *before* any phase advance (the validators rely on it).
+        // state *before* any phase advance (the invariant checker relies
+        // on it).
         Trace(TraceEventType::kAdvertAccepted, advert.len, advert.seq,
               advert.phase);
       }
@@ -704,8 +705,8 @@ void StreamTx::ResumeTx(const ResumeInfo& info) {
   EXS_CHECK_MSG(PhaseIsIndirect(info.resume_phase),
                 "resume re-enters the protocol in an indirect phase");
   // The marker leads: it records the frontier we rewind to and resets the
-  // validators' sequence baseline, so everything after it is checked
-  // against the resumed state.
+  // invariant checker's sequence baseline, so everything after it is
+  // checked against the resumed state.
   seq_ = info.delivered;
   if (peer_delivered_ < info.delivered) peer_delivered_ = info.delivered;
   Trace(TraceEventType::kResumeTx, info.delivered, 0, info.resume_phase);

@@ -1,23 +1,11 @@
-// Protocol tracing and runtime verification of the paper's lemmas.
+// Protocol tracing: the record the invariant checker replays.
 //
 // When enabled on a socket, every protocol-relevant action — ADVERTs sent,
 // received, accepted and discarded; direct and indirect transfers posted
 // and arriving; copies; ACKs; phase changes — is recorded with its
-// timestamp and the live sequence/phase values.  The validators below then
-// check the statements the paper *proves* (§IV-A) against what actually
-// happened:
-//
-//   Lemma 1  — every ADVERT carries a direct (even) phase number;
-//   Lemma 2  — between indirect arrivals, all ADVERTs carry one phase;
-//   Lemma 3  — a direct sender phase implies the most recent transfer
-//              was direct;
-//   Lemma 4  — an ADVERT accepted while the sender is direct carries
-//              exactly the sender's phase;
-//   plus the monotonicity and sequence-continuity facts the proofs use.
-//
-// This is cheaper than it sounds and is exercised by randomized property
-// tests: a protocol change that falsifies a lemma fails those sweeps even
-// if no byte happens to be misdelivered in the sampled runs.
+// timestamp and the live sequence/phase values.  exs/invariant_checker.hpp
+// then checks the statements the paper *proves* (§IV-A) against what
+// actually happened.
 #pragma once
 
 #include <cstdint>
@@ -100,8 +88,8 @@ class TraceLog {
 
   /// Bound the log to `capacity` events (0 = unbounded, the default).
   /// Once full, further events are counted in dropped() and discarded, so
-  /// the retained prefix stays contiguous — the lemma validators remain
-  /// sound on a truncated log, they just see a shorter run.
+  /// the retained prefix stays contiguous — the invariant checker remains
+  /// sound on a truncated log, it just sees a shorter run.
   void SetCapacity(std::size_t capacity) { capacity_ = capacity; }
   std::size_t capacity() const { return capacity_; }
   std::uint64_t dropped() const { return dropped_; }
@@ -137,24 +125,5 @@ class TraceLog {
   metrics::Counter* drop_counter_ = nullptr;
   std::vector<TraceEvent> events_;
 };
-
-/// Result of checking one run's traces against the paper's statements.
-struct TraceCheckResult {
-  std::vector<std::string> violations;
-  bool ok() const { return violations.empty(); }
-  std::string Summary() const;
-};
-
-/// Validate a *sender-side* trace (the outgoing half of one socket).
-TraceCheckResult ValidateSenderTrace(const std::vector<TraceEvent>& events);
-
-/// Validate a *receiver-side* trace (the incoming half of one socket).
-TraceCheckResult ValidateReceiverTrace(const std::vector<TraceEvent>& events);
-
-/// Validate the pair: sender trace of one socket against the receiver
-/// trace of its peer (cross-checks byte totals and phase agreement).
-TraceCheckResult ValidateConnectionTraces(
-    const std::vector<TraceEvent>& sender_events,
-    const std::vector<TraceEvent>& receiver_events);
 
 }  // namespace exs

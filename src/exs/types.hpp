@@ -97,8 +97,6 @@ struct StreamOptions {
     std::uint64_t max_bytes = 4 * kKiB;
     /// Longest a staged byte may wait before the buffer is flushed.
     SimDuration max_delay = Microseconds(5);
-    /// Fold pending ACK free-counts into outgoing ADVERTs.
-    bool piggyback_acks = true;
   } coalesce;
 
   /// Hot-path batching (off by default; everything here is opt-in and the
@@ -237,7 +235,7 @@ struct StreamStats {
   std::uint64_t adverts_sent = 0;
   std::uint64_t acks_sent = 0;
   /// ACK free-counts that rode an outgoing ADVERT instead of their own
-  /// control message (StreamOptions::Coalesce::piggyback_acks).
+  /// control message (StreamOptions::Coalesce).
   std::uint64_t acks_piggybacked = 0;
   std::uint64_t credit_messages_sent = 0;
   std::uint64_t bytes_copied_out = 0;  ///< drained from intermediate buffer

@@ -9,6 +9,7 @@
 #include "common/pattern.hpp"
 #include "common/rng.hpp"
 #include "exs/exs.hpp"
+#include "exs/invariant_checker.hpp"
 
 namespace exs {
 namespace {
@@ -92,8 +93,7 @@ TEST_P(CrossProfileTest, MixedWorkloadIntegrity) {
     EXPECT_EQ(server->stream_rx()->sequence_estimate(), kTotal);
   }
 
-  auto lemmas = ValidateConnectionTraces(client->tx_trace().events(),
-                                         server->rx_trace().events());
+  auto lemmas = CheckStreamPair(client->tx_trace(), server->rx_trace());
   EXPECT_TRUE(lemmas.ok()) << lemmas.Summary();
 
   EXPECT_EQ(client->channel().qp_stats().rnr_errors, 0u);

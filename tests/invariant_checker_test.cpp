@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -215,6 +216,255 @@ TEST(InvariantCheckerTest, SeqPacketConservationFires) {
   EXPECT_TRUE(HasViolation(report, "SEQPACKET message conservation failed"));
   EXPECT_TRUE(HasViolation(report, "SEQPACKET byte conservation failed"));
 }
+
+// ---------------------------------------------------------------------------
+// Every rule, one row each: a minimal synthetic trace that breaks exactly
+// that rule, run through the entry point that owns it.  A rule the checker
+// stops enforcing, or a message it rewords, fails its row by name.
+// ---------------------------------------------------------------------------
+
+enum class Walk {
+  kSender,
+  kReceiver,
+  kPair,
+  kSeqSender,
+  kSeqReceiver,
+  kSeqPair
+};
+
+struct RuleRow {
+  const char* name;
+  Walk walk;
+  std::vector<TraceEvent> tx = {};  ///< sender log (sender, pair walks)
+  std::vector<TraceEvent> rx = {};  ///< receiver log (receiver, pair walks)
+  const char* expect;          ///< substring of the violation that must fire
+  std::uint32_t rails = 1;
+  std::uint64_t ring = 0;      ///< InvariantCheckOptions::rx_ring_capacity
+  std::size_t capacity = 0;    ///< TraceLog capacity (0 = unbounded)
+  bool enabled = true;
+};
+
+void PrintTo(const RuleRow& row, std::ostream* os) { *os << row.name; }
+
+InvariantReport Check(const RuleRow& row) {
+  TraceLog tx, rx;
+  for (TraceLog* log : {&tx, &rx}) {
+    if (row.enabled) log->Enable();
+    log->SetCapacity(row.capacity);
+  }
+  for (const TraceEvent& ev : row.tx) tx.Record(ev);
+  for (const TraceEvent& ev : row.rx) rx.Record(ev);
+  InvariantCheckOptions opts;
+  opts.rails = row.rails;
+  opts.rx_ring_capacity = row.ring;
+  switch (row.walk) {
+    case Walk::kSender: return CheckStreamSenderTrace(tx, opts);
+    case Walk::kReceiver: return CheckStreamReceiverTrace(rx, opts);
+    case Walk::kPair: return CheckStreamPair(tx, rx, opts);
+    case Walk::kSeqSender: return CheckSeqPacketSenderTrace(tx, opts);
+    case Walk::kSeqReceiver: return CheckSeqPacketReceiverTrace(rx, opts);
+    case Walk::kSeqPair: return CheckSeqPacketPair(tx, rx, opts);
+  }
+  return {};
+}
+
+using T = TraceEventType;
+
+const RuleRow kRules[] = {
+    // Admission.
+    {.name = "not_enabled", .walk = Walk::kSender,
+     .expect = "tracing was not enabled", .enabled = false},
+    {.name = "truncated", .walk = Walk::kSender,
+     .tx = {Ev(T::kDirectPosted, 0, 0, 10), Ev(T::kDirectPosted, 10, 0, 10)},
+     .expect = "trace truncated", .capacity = 1},
+    // Sender half.
+    {.name = "sender_phase_rewind", .walk = Walk::kSender,
+     .tx = {Ev(T::kSenderPhaseChanged, 0, 2, 0),
+            Ev(T::kSenderPhaseChanged, 0, 1, 0)},
+     .expect = "sender phase went backwards"},
+    {.name = "sender_phase_rewind_at_resume", .walk = Walk::kSender,
+     .tx = {Ev(T::kSenderPhaseChanged, 0, 2, 0), Ev(T::kResumeTx, 0, 0, 0)},
+     .expect = "sender phase went backwards at resume"},
+    {.name = "sender_seq_rewind", .walk = Walk::kSender,
+     .tx = {Ev(T::kAckReceived, 100, 0, 0), Ev(T::kAckReceived, 50, 0, 0)},
+     .expect = "sender sequence went backwards"},
+    {.name = "lemma1_advert_received", .walk = Walk::kSender,
+     .tx = {Ev(T::kAdvertReceived, 0, 0, 4096, 0, 1)},
+     .expect = "Lemma 1: ADVERT with indirect phase"},
+    {.name = "lemma3_direct_phase_after_indirect", .walk = Walk::kSender,
+     .tx = {Ev(T::kIndirectPosted, 0, 1, 100), Ev(T::kAckReceived, 100, 2, 0)},
+     .expect = "Lemma 3: direct phase but most recent transfer indirect"},
+    {.name = "lemma4_direct_phase_mismatch", .walk = Walk::kSender,
+     .tx = {Ev(T::kAdvertAccepted, 0, 2, 4096, 0, 4)},
+     .expect = "Lemma 4: accepted ADVERT phase differs from direct sender "
+               "phase"},
+    {.name = "theorem1_inexact_seq", .walk = Walk::kSender,
+     .tx = {Ev(T::kAdvertAccepted, 64, 1, 0, 32, 2)},
+     .expect = "Theorem 1: ADVERT ending an indirect phase must carry the "
+               "exact sequence number"},
+    {.name = "stale_advert_accepted", .walk = Walk::kSender,
+     .tx = {Ev(T::kAdvertAccepted, 0, 1, 4096, 0, 0)},
+     .expect = "stale ADVERT accepted"},
+    {.name = "direct_post_in_indirect_phase", .walk = Walk::kSender,
+     .tx = {Ev(T::kDirectPosted, 0, 1, 100)},
+     .expect = "direct transfer posted in indirect phase"},
+    {.name = "indirect_post_in_direct_phase", .walk = Walk::kSender,
+     .tx = {Ev(T::kIndirectPosted, 0, 2, 0)},
+     .expect = "indirect transfer posted in direct phase"},
+    {.name = "zero_length_post", .walk = Walk::kSender,
+     .tx = {Ev(T::kIndirectPosted, 0, 1, 0)},
+     .expect = "zero-length transfer posted"},
+    {.name = "posted_gap", .walk = Walk::kSender,
+     .tx = {Ev(T::kDirectPosted, 0, 0, 100), Ev(T::kDirectPosted, 150, 0, 10)},
+     .expect = "posted byte sequence not contiguous"},
+    {.name = "stripe_gap_at_posting", .walk = Walk::kSender,
+     .tx = {Ev(T::kDirectPosted, 0, 0, 100, 1, 0)},
+     .expect = "stripe sequence gap at posting", .rails = 2},
+    {.name = "posted_on_missing_rail", .walk = Walk::kSender,
+     .tx = {Ev(T::kDirectPosted, 0, 0, 100, 0, 2)},
+     .expect = "chunk posted on rail 2 of a 2-rail connection", .rails = 2},
+    {.name = "zero_length_staged", .walk = Walk::kSender,
+     .tx = {Ev(T::kSendStaged, 0, 0, 0)},
+     .expect = "zero-length send staged for coalescing"},
+    {.name = "empty_coalesce_flush", .walk = Walk::kSender,
+     .tx = {Ev(T::kCoalesceFlushed, 0, 0, 0)},
+     .expect = "coalesce flush with no staged bytes"},
+    {.name = "coalesce_flush_length", .walk = Walk::kSender,
+     .tx = {Ev(T::kSendStaged, 0, 0, 10), Ev(T::kCoalesceFlushed, 0, 0, 20, 1)},
+     .expect = "coalesce flush length 20 disagrees"},
+    {.name = "coalesce_flush_members", .walk = Walk::kSender,
+     .tx = {Ev(T::kSendStaged, 0, 0, 10), Ev(T::kCoalesceFlushed, 0, 0, 10, 2)},
+     .expect = "coalesce flush member count 2 disagrees"},
+    // Receiver half.
+    {.name = "receiver_phase_rewind", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kReceiverPhaseChanged, 0, 2, 0),
+            Ev(T::kReceiverPhaseChanged, 0, 1, 0)},
+     .expect = "receiver phase went backwards"},
+    {.name = "receiver_phase_rewind_at_resume", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kReceiverPhaseChanged, 0, 2, 0), Ev(T::kResumeRx, 0, 0, 0)},
+     .expect = "receiver phase went backwards at resume"},
+    {.name = "receiver_seq_rewind", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kCopyOut, 100, 0, 0), Ev(T::kCopyOut, 50, 0, 0)},
+     .expect = "receiver sequence went backwards"},
+    {.name = "receiver_seq_rewind_at_resume", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kAckSent, 100, 0, 0), Ev(T::kResumeRx, 50, 0, 0)},
+     .expect = "receiver sequence went backwards at resume"},
+    {.name = "lemma1_advert_sent", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kAdvertSent, 0, 2, 0, 10, 3)},
+     .expect = "Lemma 1: ADVERT sent with indirect phase"},
+    {.name = "advert_phase_differs_at_send", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kAdvertSent, 0, 0, 4096, 1, 2)},
+     .expect = "ADVERT phase differs from receiver phase at send"},
+    {.name = "lemma2_phase_change_between_indirect", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kAdvertSent, 0, 2, 4096, 1, 2),
+            Ev(T::kAdvertSent, 0, 4, 4096, 2, 4)},
+     .expect = "Lemma 2: ADVERT phase changed without an intervening "
+               "indirect transfer"},
+    {.name = "advert_seq_not_increasing", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kAdvertSent, 0, 0, 4096, 5, 0),
+            Ev(T::kAdvertSent, 0, 0, 4096, 5, 0)},
+     .expect = "ADVERT sequence numbers not strictly increasing"},
+    {.name = "advert_while_buffered", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kIndirectArrived, 0, 1, 64),
+            Ev(T::kAdvertSent, 0, 2, 4096, 0, 2)},
+     .expect = "Fig. 3 gate violated"},
+    {.name = "ack_piggybacked_while_buffered", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kIndirectArrived, 0, 1, 64),
+            Ev(T::kAckPiggybacked, 0, 1, 64)},
+     .expect = "ACK piggybacked onto an ADVERT while the intermediate buffer "
+               "holds 64 byte(s)"},
+    {.name = "indirect_arrival_in_direct_phase", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kIndirectArrived, 0, 2, 64)},
+     .expect = "indirect arrival left receiver in a direct phase"},
+    {.name = "direct_arrival_in_indirect_phase", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kDirectArrived, 100, 1, 100)},
+     .expect = "direct arrival in an indirect phase"},
+    {.name = "direct_arrival_while_buffered", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kIndirectArrived, 0, 1, 64),
+            Ev(T::kDirectArrived, 32, 2, 32)},
+     .expect = "safety theorem violated"},
+    {.name = "ring_overflow", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kIndirectArrived, 0, 1, 300)},
+     .expect = "intermediate buffer overflow", .ring = 256},
+    {.name = "copy_out_beyond_occupancy", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kCopyOut, 50, 1, 50)},
+     .expect = "copy-out of more bytes than the buffer holds"},
+    {.name = "zero_length_arrival", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kDirectArrived, 0, 0, 0)},
+     .expect = "zero-length arrival or copy"},
+    {.name = "received_gap", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kDirectArrived, 100, 0, 100),
+            Ev(T::kDirectArrived, 250, 0, 100)},
+     .expect = "received byte sequence not contiguous"},
+    {.name = "stripe_reassembly_out_of_order", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kDirectArrived, 100, 0, 100, 1, 0)},
+     .expect = "stripe reassembly out of order", .rails = 2},
+    {.name = "arrived_on_missing_rail", .walk = Walk::kReceiver,
+     .rx = {Ev(T::kDirectArrived, 100, 0, 100, 0, 3)},
+     .expect = "chunk arrived on rail 3 of a 2-rail connection", .rails = 2},
+    // Cross-log rules of a stream pair.
+    {.name = "direct_byte_conservation", .walk = Walk::kPair,
+     .tx = {Ev(T::kDirectPosted, 0, 0, 100)},
+     .expect = "direct byte conservation failed: posted 100, arrived 0"},
+    {.name = "indirect_byte_conservation", .walk = Walk::kPair,
+     .tx = {Ev(T::kIndirectPosted, 0, 1, 1000)},
+     .rx = {Ev(T::kIndirectArrived, 0, 1, 900)},
+     .expect = "indirect byte conservation failed: posted 1000, arrived 900"},
+    {.name = "rail_delivered_more_than_posted", .walk = Walk::kPair,
+     .rx = {Ev(T::kDirectArrived, 100, 0, 100, 0, 1)},
+     .expect = "rail 1 delivered 1 chunk(s) but only 0 were posted on it",
+     .rails = 2},
+    {.name = "rail_chunk_mismatch", .walk = Walk::kPair,
+     .tx = {Ev(T::kDirectPosted, 0, 0, 100, 0, 1)},
+     .rx = {Ev(T::kDirectArrived, 50, 0, 50, 0, 1)},
+     .expect = "rail 1 chunk 0 mismatch", .rails = 2},
+    {.name = "ack_conservation", .walk = Walk::kPair,
+     .tx = {Ev(T::kAckReceived, 0, 0, 100)},
+     .expect = "ACK conservation failed"},
+    // SOCK_SEQPACKET (§II-C).
+    {.name = "seqpacket_nonzero_phase", .walk = Walk::kSeqSender,
+     .tx = {Ev(T::kDirectPosted, 0, 2, 64)},
+     .expect = "SEQPACKET event carries a nonzero phase"},
+    {.name = "seqpacket_wrong_half", .walk = Walk::kSeqSender,
+     .tx = {Ev(T::kDirectArrived, 64, 0, 64)},
+     .expect = "event from the wrong connection half"},
+    {.name = "seqpacket_stream_only_event", .walk = Walk::kSeqReceiver,
+     .rx = {Ev(T::kCopyOut, 64, 0, 64)}, .expect = "stream-only event"},
+    {.name = "seqpacket_advert_counter_gap", .walk = Walk::kSeqReceiver,
+     .rx = {Ev(T::kAdvertSent, 0, 0, 2048, 1),
+            Ev(T::kAdvertSent, 0, 0, 2048, 3)},
+     .expect = "ADVERT counter gap"},
+    {.name = "seqpacket_posted_gap", .walk = Walk::kSeqSender,
+     .tx = {Ev(T::kDirectPosted, 0, 0, 64), Ev(T::kDirectPosted, 100, 0, 64)},
+     .expect = "posted byte sequence not contiguous"},
+    {.name = "seqpacket_received_gap", .walk = Walk::kSeqReceiver,
+     .rx = {Ev(T::kDirectArrived, 64, 0, 64),
+            Ev(T::kDirectArrived, 200, 0, 64)},
+     .expect = "received byte sequence not contiguous"},
+    {.name = "seqpacket_message_conservation", .walk = Walk::kSeqPair,
+     .tx = {Ev(T::kDirectPosted, 0, 0, 64)},
+     .expect = "SEQPACKET message conservation failed"},
+    {.name = "seqpacket_byte_conservation", .walk = Walk::kSeqPair,
+     .tx = {Ev(T::kDirectPosted, 0, 0, 64)},
+     .rx = {Ev(T::kDirectArrived, 32, 0, 32)},
+     .expect = "SEQPACKET byte conservation failed"},
+    {.name = "seqpacket_advert_conservation", .walk = Walk::kSeqPair,
+     .tx = {Ev(T::kAdvertReceived, 0, 0, 2048, 1)},
+     .expect = "SEQPACKET ADVERT conservation failed"},
+};
+
+class CheckerRuleTest : public ::testing::TestWithParam<RuleRow> {};
+
+TEST_P(CheckerRuleTest, FiresOnMinimalTrace) {
+  InvariantReport report = Check(GetParam());
+  EXPECT_TRUE(HasViolation(report, GetParam().expect)) << report.Summary();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rules, CheckerRuleTest, ::testing::ValuesIn(kRules),
+    [](const ::testing::TestParamInfo<RuleRow>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------------
 // Truncation: the TraceLog drop counter must surface as a diagnostic.

@@ -8,6 +8,7 @@
 #include "common/pattern.hpp"
 #include "common/rng.hpp"
 #include "exs/exs.hpp"
+#include "exs/invariant_checker.hpp"
 
 namespace exs {
 namespace {
@@ -176,11 +177,9 @@ TEST(SocketApi, DuplexSoakWithClosesBothWays) {
   EXPECT_TRUE(b->Quiescent());
 
   // Both directions' traces satisfy the paper's lemmas.
-  auto ab = ValidateConnectionTraces(a->tx_trace().events(),
-                                     b->rx_trace().events());
+  auto ab = CheckStreamPair(a->tx_trace(), b->rx_trace());
   EXPECT_TRUE(ab.ok()) << ab.Summary();
-  auto ba = ValidateConnectionTraces(b->tx_trace().events(),
-                                     a->rx_trace().events());
+  auto ba = CheckStreamPair(b->tx_trace(), a->rx_trace());
   EXPECT_TRUE(ba.ok()) << ba.Summary();
 }
 

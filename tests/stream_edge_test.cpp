@@ -7,6 +7,7 @@
 
 #include "common/pattern.hpp"
 #include "exs/exs.hpp"
+#include "exs/invariant_checker.hpp"
 
 namespace exs {
 namespace {
@@ -57,8 +58,7 @@ TEST_F(StreamEdgeTest, WaitallRecvFilledDirectThenIndirect) {
   EXPECT_EQ(server->stats().recvs_completed, 2u);
   EXPECT_EQ(VerifyPattern(in.data(), 2 * kLen, 0, 1), 2 * kLen);
 
-  auto lemmas = ValidateConnectionTraces(client->tx_trace().events(),
-                                         server->rx_trace().events());
+  auto lemmas = CheckStreamPair(client->tx_trace(), server->rx_trace());
   EXPECT_TRUE(lemmas.ok()) << lemmas.Summary();
 }
 
@@ -149,8 +149,7 @@ TEST_F(StreamEdgeTest, ZeroLengthSendCompletesImmediately) {
     if (ev.type == TraceEventType::kZeroLengthSend) ++traced;
   }
   EXPECT_EQ(traced, 1u);
-  auto lemmas = ValidateConnectionTraces(client->tx_trace().events(),
-                                         server->rx_trace().events());
+  auto lemmas = CheckStreamPair(client->tx_trace(), server->rx_trace());
   EXPECT_TRUE(lemmas.ok()) << lemmas.Summary();
 }
 

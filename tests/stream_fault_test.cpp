@@ -5,13 +5,16 @@
 // coverage for the seeded torture harness built on the same machinery.
 //
 // The torture golden corpus (tests/data/torture_golden.txt) pins every
-// mode's fingerprint; after an intentional behaviour change regenerate it
-// with
+// mode's fingerprint, and tests/data/checker_golden.txt the checker's
+// verdicts under each sabotage hook; after an intentional behaviour change
+// regenerate them with
 //   EXS_UPDATE_GOLDEN=1 ./fault_test --gtest_filter='TortureGolden*'
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -407,6 +410,79 @@ TEST(TortureGolden, EveryModeMatchesCorpus) {
         << "torture run drifted from the recorded corpus entry: "
         << torture::EncodeCorpusEntry(cfg)
         << " (intentional change? regenerate with EXS_UPDATE_GOLDEN=1)";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Recorded checker verdicts for every sabotage hook x mode x profile at two
+// seeds: the count and an FNV-1a of each run's sorted checker violations.
+// A refactor of the invariant checker that adds, drops or rewords a finding
+// drifts a line here; the order of findings inside one report does not.
+// (The `failure:` lines are left out: they carry source paths.)
+// ---------------------------------------------------------------------------
+
+constexpr const char* kCheckerCorpusPath =
+    EXS_TEST_DATA_DIR "/checker_golden.txt";
+
+std::vector<std::string> SabotageVerdicts() {
+  std::vector<std::string> lines;
+  for (const char* hook : {"stale", "gate"}) {
+    for (const std::string& mode : torture::ModeNames()) {
+      for (const char* profile : {"fdr", "iwarp", "wan"}) {
+        for (std::uint64_t seed : {1, 2}) {
+          torture::TortureConfig cfg;
+          cfg.seed = seed;
+          cfg.mode = mode;
+          cfg.profile = profile;
+          cfg.sabotage_stale_adverts = hook == std::string("stale");
+          cfg.sabotage_advert_gate = !cfg.sabotage_stale_adverts;
+          torture::TortureResult res = torture::RunTorture(cfg);
+          std::vector<std::string> found = res.checker_violations;
+          std::sort(found.begin(), found.end());
+          Fnv1a h;
+          for (const std::string& v : found) {
+            h.Mix(v.size());
+            h.MixBytes(reinterpret_cast<const std::uint8_t*>(v.data()),
+                       v.size());
+          }
+          std::ostringstream line;
+          line << "sabotage=" << hook << " mode=" << mode
+               << " profile=" << profile << " seed=" << seed
+               << " violations=" << found.size() << " hash=0x" << std::hex
+               << h.value();
+          lines.push_back(line.str());
+        }
+      }
+    }
+  }
+  return lines;
+}
+
+TEST(TortureGolden, SabotageVerdictsMatchCorpus) {
+  std::vector<std::string> actual = SabotageVerdicts();
+  if (std::getenv("EXS_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(kCheckerCorpusPath, std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot rewrite " << kCheckerCorpusPath;
+    out << "# Checker verdicts under each sabotage hook: every mode x\n"
+           "# profile at seeds 1..2, with the count and FNV-1a of the run's\n"
+           "# sorted checker violations.  Regenerate with EXS_UPDATE_GOLDEN=1\n"
+           "# (see stream_fault_test.cpp).\n";
+    for (const std::string& line : actual) out << line << "\n";
+    GTEST_SKIP() << "corpus regenerated at " << kCheckerCorpusPath;
+  }
+
+  std::ifstream file(kCheckerCorpusPath);
+  ASSERT_TRUE(file.good()) << kCheckerCorpusPath;
+  std::vector<std::string> expected;
+  std::string line;
+  while (std::getline(file, line)) {
+    if (!line.empty() && line[0] != '#') expected.push_back(line);
+  }
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i], expected[i])
+        << "checker verdict drifted from the recorded corpus (intentional "
+           "change? regenerate with EXS_UPDATE_GOLDEN=1)";
   }
 }
 

