@@ -2,7 +2,9 @@
 //
 // Creates a simulated FDR InfiniBand testbed with a connected stream
 // socket pair, sends a message, receives it, and prints the completion
-// events and the transfer statistics.  Build and run:
+// events and the transfer statistics.  It checks what it got: the
+// delivered bytes must equal the message and the protocol trace must pass
+// the invariant checker, or it exits 1.  Build and run:
 //
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "exs/exs.hpp"
+#include "exs/invariant_checker.hpp"
 
 int main() {
   using namespace exs;
@@ -22,13 +25,18 @@ int main() {
 
   // Stream sockets give TCP-like byte-stream semantics over RDMA.
   auto [client, server] = sim.CreateConnectedPair(SocketType::kStream);
+  // Record protocol traces so the run can be machine-checked at the end.
+  client->EnableTracing();
+  server->EnableTracing();
 
   const std::string message = "hello, stream semantics over RDMA";
   std::vector<std::uint8_t> recv_buffer(256);
+  std::uint64_t received = 0;
 
   // Completions arrive asynchronously on each socket's event queue.
   server->events().SetHandler([&](const Event& ev) {
     if (ev.type == EventType::kRecvComplete) {
+      received = ev.bytes;
       std::cout << "[server] received " << ev.bytes << " bytes: \""
                 << std::string(reinterpret_cast<char*>(recv_buffer.data()),
                                ev.bytes)
@@ -58,5 +66,13 @@ int main() {
                     ? "the send raced ahead of the receive's ADVERT"
                     : "the ADVERT was ready in time")
             << ")\n";
-  return 0;
+
+  const bool delivered =
+      received == message.size() &&
+      std::memcmp(recv_buffer.data(), message.data(), message.size()) == 0;
+  InvariantReport report =
+      CheckStreamPair(client->tx_trace(), server->rx_trace());
+  std::cout << "delivered bytes match: " << (delivered ? "yes" : "NO")
+            << "; invariant check: " << report.Summary() << "\n";
+  return delivered && report.ok() ? 0 : 1;
 }

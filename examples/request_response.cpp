@@ -4,13 +4,18 @@
 // RPC framing wants: one Recv yields one request, one Send returns one
 // response — no length-prefix plumbing.  The client issues a pipeline of
 // requests with varying payloads and reports the latency distribution.
+// Every request and response carries a per-id byte pattern that the other
+// side verifies, and both directions' traces must pass the invariant
+// checker; any mismatch or violation exits 1.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <vector>
 
+#include "common/pattern.hpp"
 #include "common/rng.hpp"
 #include "exs/exs.hpp"
+#include "exs/invariant_checker.hpp"
 
 namespace {
 
@@ -24,11 +29,29 @@ struct RequestHeader {
   std::uint64_t payload_bytes;
 };
 
+/// Pattern seeds: a request's payload and its response's differ.
+std::uint64_t RequestSeed(std::uint64_t id) { return 2 * id + 1; }
+std::uint64_t ResponseSeed(std::uint64_t id) { return 2 * id + 2; }
+
+/// True when a received message is a header plus its declared payload,
+/// carrying the pattern `seed_of(id)`.
+bool Intact(const std::vector<std::uint8_t>& buf, std::uint64_t bytes,
+            std::uint64_t (*seed_of)(std::uint64_t)) {
+  RequestHeader hdr;
+  std::memcpy(&hdr, buf.data(), sizeof(hdr));
+  return bytes == sizeof(hdr) + hdr.payload_bytes &&
+         VerifyPattern(buf.data() + sizeof(hdr), hdr.payload_bytes, 0,
+                       seed_of(hdr.id)) == hdr.payload_bytes;
+}
+
 }  // namespace
 
 int main() {
   Simulation sim(simnet::HardwareProfile::FdrInfiniBand(), /*seed=*/11);
   auto [client, server] = sim.CreateConnectedPair(SocketType::kSeqPacket);
+  client->EnableTracing();
+  server->EnableTracing();
+  std::uint64_t corrupted = 0;
 
   // Server state: echo-style handler that "processes" each request and
   // responds with the same id.
@@ -37,11 +60,14 @@ int main() {
   std::uint64_t served = 0;
   server->events().SetHandler([&, server = server](const Event& ev) {
     if (ev.type != EventType::kRecvComplete) return;  // response send done
+    if (!Intact(srv_in, ev.bytes, RequestSeed)) ++corrupted;
     RequestHeader hdr;
     std::memcpy(&hdr, srv_in.data(), sizeof(hdr));
     // Response: header + a quarter of the request payload.
     RequestHeader resp{hdr.id, hdr.payload_bytes / 4};
     std::memcpy(srv_out.data(), &resp, sizeof(resp));
+    FillPattern(srv_out.data() + sizeof(resp), resp.payload_bytes, 0,
+                ResponseSeed(resp.id));
     server->Send(srv_out.data(), sizeof(resp) + resp.payload_bytes);
     server->Recv(srv_in.data(), srv_in.size());
     ++served;
@@ -60,6 +86,8 @@ int main() {
     if (next_id >= kRequests) return;
     RequestHeader hdr{next_id, rng.NextInRange(0, kMaxPayload)};
     std::memcpy(cli_out.data(), &hdr, sizeof(hdr));
+    FillPattern(cli_out.data() + sizeof(hdr), hdr.payload_bytes, 0,
+                RequestSeed(hdr.id));
     issued[next_id] = sim.Now();
     client->Send(cli_out.data(), sizeof(hdr) + hdr.payload_bytes);
     ++next_id;
@@ -67,6 +95,7 @@ int main() {
 
   client->events().SetHandler([&, client = client](const Event& ev) {
     if (ev.type != EventType::kRecvComplete) return;
+    if (!Intact(cli_in, ev.bytes, ResponseSeed)) ++corrupted;
     RequestHeader hdr;
     std::memcpy(&hdr, cli_in.data(), sizeof(hdr));
     latencies_us.push_back(ToMicroseconds(sim.Now() - issued[hdr.id]));
@@ -82,6 +111,10 @@ int main() {
   issue();
   sim.Run();
 
+  if (latencies_us.empty()) {
+    std::printf("no response arrived\n");
+    return 1;
+  }
   std::sort(latencies_us.begin(), latencies_us.end());
   auto pct = [&](double p) {
     return latencies_us[static_cast<std::size_t>(
@@ -99,5 +132,16 @@ int main() {
                   server->stats().direct_transfers),
               static_cast<unsigned long long>(
                   client->stats().indirect_transfers));
-  return 0;
+
+  InvariantReport report =
+      CheckSeqPacketPair(client->tx_trace(), server->rx_trace());
+  report.Merge(CheckSeqPacketPair(server->tx_trace(), client->rx_trace()));
+  const bool complete =
+      served == kRequests &&
+      latencies_us.size() == static_cast<std::size_t>(kRequests);
+  std::printf("%llu corrupted messages, %s; invariant check: %s\n",
+              static_cast<unsigned long long>(corrupted),
+              complete ? "every request answered" : "REQUESTS MISSING",
+              report.Summary().c_str());
+  return corrupted == 0 && complete && report.ok() ? 0 : 1;
 }

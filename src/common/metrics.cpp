@@ -22,11 +22,19 @@ std::uint64_t Histogram::BucketLowerBound(std::size_t bucket) {
 }
 
 void Histogram::Record(std::uint64_t v) {
+  if (!buckets_) buckets_ = std::make_unique<std::uint64_t[]>(kBuckets);
   ++buckets_[BucketIndex(v)];
   if (count_ == 0 || v < min_) min_ = v;
   if (v > max_) max_ = v;
   ++count_;
   sum_ += v;
+}
+
+std::span<const std::uint64_t, Histogram::kBuckets> Histogram::buckets()
+    const {
+  static constexpr std::uint64_t kEmpty[kBuckets] = {};
+  return std::span<const std::uint64_t, kBuckets>(
+      buckets_ ? buckets_.get() : kEmpty, kBuckets);
 }
 
 double Histogram::Percentile(double p) const {
@@ -109,38 +117,60 @@ double TimeWeightedSeries::Average(SimTime now) const {
 // Registry
 // ---------------------------------------------------------------------------
 
-namespace {
-
 template <typename T>
-T& GetOrCreate(std::map<std::string, Registry::Named<T>>* map,
-               const std::string& name, const std::string& unit) {
-  auto it = map->find(name);
-  if (it == map->end()) {
-    it = map->emplace(name, Registry::Named<T>{unit, std::make_unique<T>()})
-             .first;
+T& Registry::Tier<T>::Get(const std::string& name, const std::string& unit) {
+  auto spec = std::lower_bound(specs.begin(), specs.end(), name,
+                               [](const InstrumentSpec& s,
+                                  const std::string& n) { return s.name < n; });
+  if (spec != specs.end() && spec->name == name) {
+    return instruments[spec - specs.begin()];
   }
-  return *it->second.instrument;
+  auto [it, inserted] = named.try_emplace(name);
+  if (inserted) it->second.unit = unit;
+  return it->second.instrument;
 }
-
-}  // namespace
 
 Counter& Registry::GetCounter(const std::string& name,
                               const std::string& unit) {
-  return GetOrCreate(&counters_, name, unit);
+  return counters_.Get(name, unit);
 }
 
 Gauge& Registry::GetGauge(const std::string& name, const std::string& unit) {
-  return GetOrCreate(&gauges_, name, unit);
+  return gauges_.Get(name, unit);
 }
 
 Histogram& Registry::GetHistogram(const std::string& name,
                                   const std::string& unit) {
-  return GetOrCreate(&histograms_, name, unit);
+  return histograms_.Get(name, unit);
 }
 
 TimeWeightedSeries& Registry::GetSeries(const std::string& name,
                                         const std::string& unit) {
-  return GetOrCreate(&series_, name, unit);
+  return series_.Get(name, unit);
+}
+
+void Registry::Bind(std::span<const InstrumentSpec> specs,
+                    Counter* instruments) {
+  counters_.specs = specs;
+  counters_.instruments = instruments;
+}
+
+void Registry::Bind(std::span<const InstrumentSpec> specs,
+                    Gauge* instruments) {
+  gauges_.specs = specs;
+  gauges_.instruments = instruments;
+}
+
+void Registry::Bind(std::span<const InstrumentSpec> specs,
+                    Histogram* instruments) {
+  histograms_.specs = specs;
+  histograms_.instruments = instruments;
+}
+
+void Registry::Bind(std::span<const InstrumentSpec> specs,
+                    TimeWeightedSeries* instruments) {
+  series_.specs = specs;
+  series_.instruments = instruments;
 }
 
 std::string FormatJsonNumber(double v) {
@@ -155,7 +185,7 @@ std::string FormatJsonNumber(double v) {
   return buf;
 }
 
-void AppendJsonString(std::string* out, const std::string& s) {
+void AppendJsonString(std::string* out, std::string_view s) {
   out->push_back('"');
   for (char c : s) {
     switch (c) {
@@ -200,7 +230,7 @@ std::string Registry::ToJson(SimTime now) const {
   std::string out = "{";
   out += "\"counters\":{";
   bool first_entry = true;
-  for (const auto& [name, entry] : counters_) {
+  for (const auto& [name, entry] : counters()) {
     if (!first_entry) out += ",";
     first_entry = false;
     AppendJsonString(&out, name);
@@ -210,7 +240,7 @@ std::string Registry::ToJson(SimTime now) const {
   }
   out += "},\"gauges\":{";
   first_entry = true;
-  for (const auto& [name, entry] : gauges_) {
+  for (const auto& [name, entry] : gauges()) {
     if (!first_entry) out += ",";
     first_entry = false;
     AppendJsonString(&out, name);
@@ -220,7 +250,7 @@ std::string Registry::ToJson(SimTime now) const {
   }
   out += "},\"histograms\":{";
   first_entry = true;
-  for (const auto& [name, entry] : histograms_) {
+  for (const auto& [name, entry] : histograms()) {
     const Histogram& h = *entry.instrument;
     if (!first_entry) out += ",";
     first_entry = false;
@@ -257,7 +287,7 @@ std::string Registry::ToJson(SimTime now) const {
   }
   out += "},\"series\":{";
   first_entry = true;
-  for (const auto& [name, entry] : series_) {
+  for (const auto& [name, entry] : series()) {
     const TimeWeightedSeries& s = *entry.instrument;
     if (!first_entry) out += ",";
     first_entry = false;
@@ -293,19 +323,28 @@ std::string Registry::ToJson(SimTime now) const {
 
 std::string Registry::ToCsv(SimTime now) const {
   std::string out = "name,kind,unit,field,value\n";
-  auto row = [&out](const std::string& name, const char* kind,
-                    const std::string& unit, const char* field,
+  auto row = [&out](std::string_view name, const char* kind,
+                    std::string_view unit, const char* field,
                     const std::string& value) {
-    out += name + "," + kind + "," + unit + "," + field + "," + value + "\n";
+    out += name;
+    out += ",";
+    out += kind;
+    out += ",";
+    out += unit;
+    out += ",";
+    out += field;
+    out += ",";
+    out += value;
+    out += "\n";
   };
-  for (const auto& [name, entry] : counters_) {
+  for (const auto& [name, entry] : counters()) {
     row(name, "counter", entry.unit, "value", U64(entry.instrument->value()));
   }
-  for (const auto& [name, entry] : gauges_) {
+  for (const auto& [name, entry] : gauges()) {
     row(name, "gauge", entry.unit, "value",
         FormatJsonNumber(entry.instrument->value()));
   }
-  for (const auto& [name, entry] : histograms_) {
+  for (const auto& [name, entry] : histograms()) {
     const Histogram& h = *entry.instrument;
     row(name, "histogram", entry.unit, "count", U64(h.count()));
     row(name, "histogram", entry.unit, "sum", U64(h.sum()));
@@ -321,7 +360,7 @@ std::string Registry::ToCsv(SimTime now) const {
     row(name, "histogram", entry.unit, "p999",
         FormatJsonNumber(h.Percentile(99.9)));
   }
-  for (const auto& [name, entry] : series_) {
+  for (const auto& [name, entry] : series()) {
     const TimeWeightedSeries& s = *entry.instrument;
     row(name, "series", entry.unit, "count", U64(s.count()));
     row(name, "series", entry.unit, "avg", FormatJsonNumber(s.Average(now)));

@@ -14,11 +14,16 @@
 // reservoir randomness.
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/sim_clock.hpp"
@@ -49,7 +54,10 @@ class Gauge {
 
 /// Log2-bucketed histogram for latencies and sizes.  Bucket 0 holds the
 /// value 0; bucket b >= 1 holds values in [2^(b-1), 2^b).  64 buckets
-/// cover the full uint64 range, so Record never clips.
+/// cover the full uint64 range, so Record never clips.  The bucket array
+/// lives out of line and is allocated by the first Record: most of a
+/// socket's histograms are never recorded, and an empty one costs only
+/// its five scalars.
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 65;
@@ -69,15 +77,14 @@ class Histogram {
   /// linearly inside the containing bucket.  p in [0, 100].
   double Percentile(double p) const;
 
-  const std::array<std::uint64_t, kBuckets>& buckets() const {
-    return buckets_;
-  }
+  /// Per-bucket counts (all zero before the first Record).
+  std::span<const std::uint64_t, kBuckets> buckets() const;
   static std::size_t BucketIndex(std::uint64_t v);
   /// Smallest value the bucket counts.
   static std::uint64_t BucketLowerBound(std::size_t bucket);
 
  private:
-  std::array<std::uint64_t, kBuckets> buckets_{};
+  std::unique_ptr<std::uint64_t[]> buckets_;  ///< kBuckets; null until Record
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = 0;
@@ -124,9 +131,39 @@ class TimeWeightedSeries {
   SimDuration sample_stride_ = 0;
 };
 
-/// Named instrument store.  Get* creates on first use and returns the same
-/// instrument afterwards; snapshots iterate in name order, so output is
-/// stable across runs.
+/// One instrument of a static schema: a name and unit with static storage
+/// (a table entry, not a per-instance string).
+struct InstrumentSpec {
+  std::string_view name;
+  std::string_view unit;
+};
+
+/// Read-only handle a registry view hands out for one instrument.
+template <typename T>
+class InstrumentRef {
+ public:
+  explicit InstrumentRef(const T* instrument) : instrument_(instrument) {}
+  const T* get() const { return instrument_; }
+  const T* operator->() const { return instrument_; }
+  const T& operator*() const { return *instrument_; }
+
+ private:
+  const T* instrument_;
+};
+
+/// Named instrument store with two tiers behind one name space:
+///
+///  * a static schema per kind, adopted with Bind(): names and units come
+///    from a caller's constant table, the instruments from a caller-owned
+///    array (a socket's flat instrument block), so declaring them costs no
+///    allocation;
+///  * by-name instruments, created on first Get* of a name the schema
+///    does not declare (rail<i>.*, mux.*, engine.*, pool.*, ...).
+///
+/// Get* returns the same instrument for the same name afterwards, whichever
+/// tier holds it.  Every bound instrument is part of every snapshot,
+/// recorded or not, and snapshots iterate both tiers merged in name order,
+/// so output is stable across runs.
 class Registry {
  public:
   Counter& GetCounter(const std::string& name, const std::string& unit = "");
@@ -136,22 +173,90 @@ class Registry {
   TimeWeightedSeries& GetSeries(const std::string& name,
                                 const std::string& unit = "");
 
+  /// Declare `specs` (sorted by name, static storage) as this registry's
+  /// schema for one kind; `instruments[i]` holds `specs[i]`.  Both must
+  /// outlive the registry, and no by-name instrument may exist yet.
+  void Bind(std::span<const InstrumentSpec> specs, Counter* instruments);
+  void Bind(std::span<const InstrumentSpec> specs, Gauge* instruments);
+  void Bind(std::span<const InstrumentSpec> specs, Histogram* instruments);
+  void Bind(std::span<const InstrumentSpec> specs,
+            TimeWeightedSeries* instruments);
+
+  /// A by-name instrument: its unit and the instrument itself, in the node.
   template <typename T>
   struct Named {
     std::string unit;
-    std::unique_ptr<T> instrument;
+    T instrument;
+  };
+  template <typename T>
+  using NamedMap = std::map<std::string, Named<T>, std::less<>>;
+
+  /// Instruments of one kind from both tiers, merged in name order.  A
+  /// map-like read-only view: find/count/at/begin/end, entries
+  /// {name, {unit, instrument}}.  Iterators outlive the view they came
+  /// from and stay valid while the registry creates no instrument.
+  template <typename T>
+  class View {
+   public:
+    struct Entry {
+      std::string_view unit;
+      InstrumentRef<T> instrument;
+    };
+    using value_type = std::pair<std::string_view, Entry>;
+
+    class iterator {
+     public:
+      struct Arrow {
+        value_type entry;
+        const value_type* operator->() const { return &entry; }
+      };
+
+      value_type operator*() const;
+      Arrow operator->() const { return Arrow{**this}; }
+      iterator& operator++();
+      bool operator==(const iterator& o) const {
+        return fixed_ == o.fixed_ && named_ == o.named_;
+      }
+
+     private:
+      friend class View;
+      iterator(const View* view, std::size_t fixed,
+               typename NamedMap<T>::const_iterator named);
+      /// True when the schema entry comes next in name order.
+      bool FixedFirst() const;
+
+      std::span<const InstrumentSpec> specs_;
+      const T* instruments_ = nullptr;
+      const NamedMap<T>* map_ = nullptr;
+      std::size_t fixed_ = 0;
+      typename NamedMap<T>::const_iterator named_;
+    };
+    iterator begin() const { return iterator(this, 0, map_->begin()); }
+    iterator end() const {
+      return iterator(this, specs_.size(), map_->end());
+    }
+    iterator find(std::string_view name) const;
+    std::size_t count(std::string_view name) const {
+      return find(name) == end() ? 0 : 1;
+    }
+    /// Throws std::out_of_range for an unknown name, like std::map::at.
+    Entry at(std::string_view name) const;
+
+   private:
+    friend class Registry;
+    View(std::span<const InstrumentSpec> specs, const T* instruments,
+         const NamedMap<T>* map)
+        : specs_(specs), instruments_(instruments), map_(map) {}
+
+    std::span<const InstrumentSpec> specs_;
+    const T* instruments_;
+    const NamedMap<T>* map_;
   };
 
-  const std::map<std::string, Named<Counter>>& counters() const {
-    return counters_;
-  }
-  const std::map<std::string, Named<Gauge>>& gauges() const { return gauges_; }
-  const std::map<std::string, Named<Histogram>>& histograms() const {
-    return histograms_;
-  }
-  const std::map<std::string, Named<TimeWeightedSeries>>& series() const {
-    return series_;
-  }
+  View<Counter> counters() const { return counters_.view(); }
+  View<Gauge> gauges() const { return gauges_.view(); }
+  View<Histogram> histograms() const { return histograms_.view(); }
+  View<TimeWeightedSeries> series() const { return series_.view(); }
 
   /// JSON object {"counters":{...},"gauges":{...},"histograms":{...},
   /// "series":{...}}.  `now` closes the open interval of every series.
@@ -161,16 +266,94 @@ class Registry {
   std::string ToCsv(SimTime now) const;
 
  private:
-  std::map<std::string, Named<Counter>> counters_;
-  std::map<std::string, Named<Gauge>> gauges_;
-  std::map<std::string, Named<Histogram>> histograms_;
-  std::map<std::string, Named<TimeWeightedSeries>> series_;
+  /// Both tiers of one kind.
+  template <typename T>
+  struct Tier {
+    std::span<const InstrumentSpec> specs;
+    T* instruments = nullptr;
+    NamedMap<T> named;
+
+    T& Get(const std::string& name, const std::string& unit);
+    View<T> view() const { return View<T>(specs, instruments, &named); }
+  };
+
+  Tier<Counter> counters_;
+  Tier<Gauge> gauges_;
+  Tier<Histogram> histograms_;
+  Tier<TimeWeightedSeries> series_;
 };
 
 /// Deterministic JSON number rendering shared by the exporters: integral
 /// values print without a fraction, everything else with enough digits to
 /// round-trip.
 std::string FormatJsonNumber(double v);
-void AppendJsonString(std::string* out, const std::string& s);
+void AppendJsonString(std::string* out, std::string_view s);
+
+// ---------------------------------------------------------------------------
+// Registry::View
+// ---------------------------------------------------------------------------
+
+template <typename T>
+Registry::View<T>::iterator::iterator(
+    const View* view, std::size_t fixed,
+    typename NamedMap<T>::const_iterator named)
+    : specs_(view->specs_),
+      instruments_(view->instruments_),
+      map_(view->map_),
+      fixed_(fixed),
+      named_(named) {}
+
+template <typename T>
+bool Registry::View<T>::iterator::FixedFirst() const {
+  return fixed_ < specs_.size() &&
+         (named_ == map_->end() || specs_[fixed_].name < named_->first);
+}
+
+template <typename T>
+typename Registry::View<T>::value_type Registry::View<T>::iterator::operator*()
+    const {
+  if (FixedFirst()) {
+    const InstrumentSpec& spec = specs_[fixed_];
+    return {spec.name,
+            Entry{spec.unit, InstrumentRef<T>(&instruments_[fixed_])}};
+  }
+  return {named_->first, Entry{named_->second.unit,
+                               InstrumentRef<T>(&named_->second.instrument)}};
+}
+
+template <typename T>
+typename Registry::View<T>::iterator&
+Registry::View<T>::iterator::operator++() {
+  if (FixedFirst()) {
+    ++fixed_;
+  } else {
+    ++named_;
+  }
+  return *this;
+}
+
+template <typename T>
+typename Registry::View<T>::iterator Registry::View<T>::find(
+    std::string_view name) const {
+  auto spec = std::lower_bound(
+      specs_.begin(), specs_.end(), name,
+      [](const InstrumentSpec& s, std::string_view n) { return s.name < n; });
+  const auto fixed = static_cast<std::size_t>(spec - specs_.begin());
+  if (spec != specs_.end() && spec->name == name) {
+    return iterator(this, fixed, map_->lower_bound(name));
+  }
+  auto named = map_->find(name);
+  return named == map_->end() ? end() : iterator(this, fixed, named);
+}
+
+template <typename T>
+typename Registry::View<T>::Entry Registry::View<T>::at(
+    std::string_view name) const {
+  iterator it = find(name);
+  if (it == end()) {
+    throw std::out_of_range("no instrument named " + std::string(name));
+  }
+  return (*it).second;
+}
 
 }  // namespace exs::metrics

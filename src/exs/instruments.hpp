@@ -4,16 +4,45 @@
 // ADVERT round trips, phase dwell, intermediate-buffer pressure, credit
 // and in-flight WR depth, and copy-out cost.
 //
+// The instruments every socket carries are declared once, in the static
+// schema table of instruments.cpp (name, unit, kind), and held by value
+// in one flat SocketInstrumentBlock per socket.  The socket's
+// metrics::Registry takes their names, units and snapshot order from that
+// table, so a socket's instruments cost no allocation, and a histogram's
+// buckets are allocated only when it is first recorded.  The mux.*
+// entries are carried by muxed sockets only.  Instruments created by name
+// elsewhere (rail<i>.*, engine.sched_delay, trace.dropped_*) stay in the
+// registry's by-name tier.
+//
 // The hot paths (stream_tx/stream_rx/seqpacket/rendezvous/channel) poke
-// these pointers directly; Socket::stats() folds the registry back into
-// the legacy StreamStats snapshot, so there is exactly one place a number
-// can come from.  Metric names, units, and the paper artefact each one
-// explains are catalogued in docs/OBSERVABILITY.md.
+// the SocketInstruments pointers directly; Socket::stats() folds them back
+// into the legacy StreamStats snapshot, so there is exactly one place a
+// number can come from.  Metric names, units, and the paper artefact each
+// one explains are catalogued in docs/OBSERVABILITY.md.
 #pragma once
+
+#include <array>
+#include <cstddef>
 
 #include "common/metrics.hpp"
 
 namespace exs {
+
+/// Every instrument of the socket schema, by value: one array per kind,
+/// whose entry i is that kind's i-th schema entry in name order among
+/// those the socket carries (a classic socket leaves the mux.* slots
+/// unused).
+struct SocketInstrumentBlock {
+  static constexpr std::size_t kCounters = 38;
+  static constexpr std::size_t kGauges = 2;
+  static constexpr std::size_t kHistograms = 7;
+  static constexpr std::size_t kSeries = 4;
+
+  std::array<metrics::Counter, kCounters> counters;
+  std::array<metrics::Gauge, kGauges> gauges;
+  std::array<metrics::Histogram, kHistograms> histograms;
+  std::array<metrics::TimeWeightedSeries, kSeries> series;
+};
 
 struct SocketInstruments {
   // Sender half (this socket's outgoing stream).
@@ -82,8 +111,16 @@ struct SocketInstruments {
   metrics::Counter* retransmitted_bytes = nullptr;  ///< re-sent after resume
   metrics::Histogram* resume_latency = nullptr;  ///< ps, kill -> resume
 
-  /// Create (or re-resolve) every instrument in `registry`.
-  static SocketInstruments Create(metrics::Registry& registry);
+  // Shared-QP mux (muxed sockets only; null on a classic socket).
+  metrics::Histogram* mux_hol_wait = nullptr;  ///< ps parked before sending
+  metrics::Counter* mux_parks = nullptr;
+
+  /// Bind the schema to `registry`, held in `block`, and point every field
+  /// the socket carries (the mux.* ones only when `muxed`) at its
+  /// instrument.  `block` must outlive `registry`, which must have no
+  /// by-name instrument yet.
+  static SocketInstruments Bind(SocketInstrumentBlock& block,
+                                metrics::Registry& registry, bool muxed);
 };
 
 }  // namespace exs

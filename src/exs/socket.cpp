@@ -54,8 +54,9 @@ Socket::Socket(verbs::Device& device, SocketType type, StreamOptions options,
                     (type_ == SocketType::kStream &&
                      options_.mode != ProtocolMode::kReadRendezvous),
                 "recovery supports stream sockets only");
-  inst_ = SocketInstruments::Create(registry_);
   mux_ = std::move(wiring_.mux_stream);
+  inst_ = SocketInstruments::Bind(instrument_block_, registry_,
+                                  mux_ != nullptr);
   if (mux_ != nullptr) {
     EXS_CHECK_MSG(type_ == SocketType::kStream &&
                       options_.mode != ProtocolMode::kReadRendezvous,
@@ -67,8 +68,7 @@ Socket::Socket(verbs::Device& device, SocketType type, StreamOptions options,
                   "compose with a muxed socket");
     // No dedicated channel: the shared slot QPs live in the MuxGroup.
     // Per-socket mux telemetry replaces the rail0 instruments.
-    mux_->SetInstruments(&registry_.GetHistogram("mux.hol_wait", "ps"),
-                         &registry_.GetCounter("mux.parks", "events"));
+    mux_->SetInstruments(inst_.mux_hol_wait, inst_.mux_parks);
   } else {
     channel_ = std::make_unique<ControlChannel>(device, options_.credits,
                                                 wiring_.shared_slots,

@@ -254,6 +254,9 @@ class Socket : public simnet::TransportKillTarget {
   StreamOptions options_;
   std::string name_;
   SocketWiring wiring_;
+  /// The schema's instruments; declared before registry_, which points
+  /// into it.
+  SocketInstrumentBlock instrument_block_;
   metrics::Registry registry_;
   SocketInstruments inst_;
   /// "rail<i>.hol_wait" histograms, index = rail (built by InstrumentRail,

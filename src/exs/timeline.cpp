@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
 
 #include "exs/types.hpp"
 
@@ -71,7 +72,7 @@ void EmitInstant(std::vector<Emitted>& out, const TraceEvent& e, int pid,
   out.push_back(Emitted{e.time, std::move(j)});
 }
 
-void EmitCounter(std::vector<Emitted>& out, const std::string& name,
+void EmitCounter(std::vector<Emitted>& out, std::string_view name,
                  SimTime ts, double value, int pid) {
   std::string j = "{\"name\":";
   metrics::AppendJsonString(&j, name);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,37 @@ TEST(Histogram, PercentilesAreOrderedAndBounded) {
   // bucket [512, 1024); anything outside signals broken bucket walking.
   EXPECT_GE(p50, 256.0);
   EXPECT_LE(p50, 1024.0);
+}
+
+TEST(Histogram, UnrecordedReadsEmptyAndFirstRecordMatchesEager) {
+  Histogram empty;
+  EXPECT_EQ(empty.count(), 0u);
+  EXPECT_EQ(empty.sum(), 0u);
+  EXPECT_EQ(empty.min(), 0u);
+  EXPECT_EQ(empty.max(), 0u);
+  EXPECT_EQ(empty.Mean(), 0.0);
+  for (double p : {0.0, 50.0, 99.9, 100.0}) {
+    EXPECT_EQ(empty.Percentile(p), 0.0);
+  }
+  for (std::uint64_t b : empty.buckets()) EXPECT_EQ(b, 0u);
+
+  // After the first Record the buckets exist and count exactly what a
+  // bucket-by-bucket tally of the same values gives.
+  const std::vector<std::uint64_t> values = {0, 1, 7, 7, 300, 1u << 20};
+  Histogram h;
+  std::vector<std::uint64_t> expected(Histogram::kBuckets, 0);
+  for (std::uint64_t v : values) {
+    h.Record(v);
+    ++expected[Histogram::BucketIndex(v)];
+  }
+  EXPECT_EQ(std::vector<std::uint64_t>(h.buckets().begin(), h.buckets().end()),
+            expected);
+  EXPECT_EQ(h.count(), values.size());
+  EXPECT_EQ(h.sum(), 0u + 1 + 7 + 7 + 300 + (1u << 20));
+  EXPECT_EQ(h.min(), 0u);
+  EXPECT_EQ(h.max(), 1u << 20);
+  // Rank 3 of 6 is the second 7: interpolated inside bucket [4, 8).
+  EXPECT_DOUBLE_EQ(h.Percentile(50), 4.0 + 4.0 * (3.0 - 2.0) / 2.0);
 }
 
 TEST(TimeWeightedSeries, AverageWeightsByHeldTime) {
@@ -247,6 +279,65 @@ TEST(Registry, CsvHasHeaderAndOneRowPerScalar) {
   EXPECT_EQ(lines[0], "name,kind,unit,field,value");
   EXPECT_EQ(lines[1], "c,counter,ops,value,1");
   EXPECT_EQ(lines[2], "g,gauge,,value,1");
+}
+
+// A bound schema (the socket's static tier) and by-name instruments share
+// one name space: Get* resolves a declared name to the bound instrument,
+// the views merge both tiers in name order, and a declared instrument is
+// in every snapshot whether or not it was recorded.
+TEST(Registry, BoundSchemaAndByNameInstrumentsShareOneNameSpace) {
+  static constexpr InstrumentSpec kCounterSpecs[] = {{"b.sent", "bytes"},
+                                                     {"d.ops", "ops"}};
+  static constexpr InstrumentSpec kHistogramSpecs[] = {{"rtt", "ps"}};
+  Counter counters[2];
+  Histogram histograms[1];
+  Registry reg;
+  reg.Bind(kCounterSpecs, counters);
+  reg.Bind(kHistogramSpecs, histograms);
+
+  EXPECT_EQ(&reg.GetCounter("b.sent"), &counters[0]);
+  EXPECT_EQ(&reg.GetHistogram("rtt", "ps"), &histograms[0]);
+  reg.GetCounter("c.named", "wrs").Add(3);
+  reg.GetCounter("a.named", "ops").Add(1);
+  counters[1].Add(7);
+
+  std::vector<std::string> names;
+  for (const auto& [name, entry] : reg.counters()) {
+    names.push_back(std::string(name) + "=" +
+                    std::to_string(entry.instrument->value()) + "/" +
+                    std::string(entry.unit));
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"a.named=1/ops", "b.sent=0/bytes",
+                                             "c.named=3/wrs", "d.ops=7/ops"}));
+  const auto counters_view = reg.counters();
+  EXPECT_EQ(counters_view.count("d.ops"), 1u);
+  EXPECT_EQ(counters_view.count("missing"), 0u);
+  EXPECT_THROW(counters_view.at("missing"), std::out_of_range);
+  // find() positions a live iterator: stepping on from a found entry
+  // continues the merged order.
+  auto it = reg.counters().find("b.sent");
+  ASSERT_NE(it, reg.counters().end());
+  EXPECT_EQ(it->second.instrument.get(), &counters[0]);
+  ++it;
+  EXPECT_EQ(it->first, "c.named");
+  EXPECT_EQ(reg.histograms().find("rtt")->second.instrument->count(), 0u);
+
+  // The never-recorded bound histogram is exported with zero values.
+  EXPECT_EQ(reg.ToCsv(0),
+            "name,kind,unit,field,value\n"
+            "a.named,counter,ops,value,1\n"
+            "b.sent,counter,bytes,value,0\n"
+            "c.named,counter,wrs,value,3\n"
+            "d.ops,counter,ops,value,7\n"
+            "rtt,histogram,ps,count,0\n"
+            "rtt,histogram,ps,sum,0\n"
+            "rtt,histogram,ps,min,0\n"
+            "rtt,histogram,ps,max,0\n"
+            "rtt,histogram,ps,mean,0\n"
+            "rtt,histogram,ps,p50,0\n"
+            "rtt,histogram,ps,p90,0\n"
+            "rtt,histogram,ps,p99,0\n"
+            "rtt,histogram,ps,p999,0\n");
 }
 
 class FixedClock : public SimClock {
