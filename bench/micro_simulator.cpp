@@ -1,9 +1,11 @@
 // Google-benchmark microbenchmarks of the substrate itself: these measure
 // *wall-clock* cost of the simulator and library plumbing (event
 // scheduling, CPU resource, verbs data path, a full blast run, a mux
-// dispatch round), which is what bounds how large an experiment the
-// harness can sweep.
+// dispatch round, connecting a socket pair) and the heap a connected pair
+// holds, which is what bounds how large an experiment the harness can
+// sweep.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <memory>
@@ -200,6 +202,50 @@ void BM_MuxDispatchRound(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MuxDispatchRound)->Arg(64)->Arg(1024)->Arg(16384)->Arg(65536);
+
+// The KV benchmark's token-sized streams.
+StreamOptions KvStreamOptions() {
+  StreamOptions opts;
+  opts.credits = 8;
+  opts.intermediate_buffer_bytes = 2 * kKiB;
+  opts.max_wwi_chunk = 2 * kKiB;
+  return opts;
+}
+
+// Connect one pair per iteration into a single simulation, as a fan-out
+// workload does, and report the heap each pair holds (mallinfo2) as
+// `heap_bytes_per_pair`.  The iteration count is fixed because every pair
+// stays alive until the simulation ends.
+template <typename F>
+void MeasurePairs(benchmark::State& state, F&& create_pair) {
+  const std::size_t heap_before = mallinfo2().uordblks;
+  for (auto _ : state) benchmark::DoNotOptimize(create_pair());
+  state.counters["heap_bytes_per_pair"] =
+      static_cast<double>(mallinfo2().uordblks - heap_before) /
+      static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_CreateMuxedPair(benchmark::State& state) {
+  Simulation sim(simnet::HardwareProfile::FdrInfiniBand(), 1);
+  MuxOptions mopts;
+  mopts.width = 8;
+  MuxGroup g0(sim.device(0), mopts);
+  MuxGroup g1(sim.device(1), mopts);
+  MuxGroup::Connect(g0, g1);
+  const StreamOptions opts = KvStreamOptions();
+  MeasurePairs(state, [&] { return sim.CreateMuxedPair(g0, g1, opts); });
+}
+BENCHMARK(BM_CreateMuxedPair)->Iterations(4096);
+
+void BM_CreateConnectedPair(benchmark::State& state) {
+  Simulation sim(simnet::HardwareProfile::FdrInfiniBand(), 1);
+  const StreamOptions opts = KvStreamOptions();
+  MeasurePairs(state, [&] {
+    return sim.CreateConnectedPair(SocketType::kStream, opts);
+  });
+}
+BENCHMARK(BM_CreateConnectedPair)->Iterations(4096);
 
 }  // namespace
 

@@ -12,11 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "common/metrics.hpp"
 #include "exs/wire.hpp"
 #include "simnet/faults.hpp"
@@ -346,7 +346,7 @@ class ControlChannel : public ChannelEndpoint,
   Callbacks callbacks_;
 
   SimTime hold_until_ = 0;  ///< incoming dispatch frozen before this time
-  std::deque<verbs::WorkCompletion> deferred_;  ///< held, in arrival order
+  Fifo<verbs::WorkCompletion> deferred_;  ///< held, in arrival order
 
   std::uint32_t remote_credits_ = 0;  ///< peer receives we may consume
   std::uint32_t owed_credits_ = 0;    ///< reposted receives not yet reported

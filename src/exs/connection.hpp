@@ -24,12 +24,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "exs/socket.hpp"
 #include "simnet/fabric.hpp"
 #include "verbs/device.hpp"
@@ -103,7 +103,7 @@ class Listener {
   StreamOptions options_;
   AcceptHandler handler_;
   AcceptGate gate_;
-  std::deque<Socket*> backlog_;
+  Fifo<Socket*> backlog_;
   std::size_t accepted_count_ = 0;
   std::size_t refused_count_ = 0;
 };

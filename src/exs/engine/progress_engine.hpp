@@ -23,11 +23,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
 
+#include "common/fifo.hpp"
 #include "common/metrics.hpp"
 #include "exs/socket.hpp"
 #include "simnet/cpu.hpp"
@@ -99,7 +99,7 @@ class ProgressEngine {
   std::unordered_map<Socket*, std::unique_ptr<Entry>> entries_;
   Entry* serving_ = nullptr;         ///< entry whose handler is running
   std::unique_ptr<Entry> zombie_;    ///< serving_ unregistered mid-dispatch
-  std::deque<Socket*> ready_;
+  Fifo<Socket*> ready_;
   bool tick_scheduled_ = false;
   std::size_t last_tick_events_ = 0;  ///< charged to the next tick's cost
   std::uint64_t ticks_ = 0;

@@ -17,9 +17,9 @@
 // engine keep one ready-list instead of scanning every socket per tick.
 #pragma once
 
-#include <deque>
 #include <functional>
 
+#include "common/fifo.hpp"
 #include "common/units.hpp"
 #include "simnet/cpu.hpp"
 #include "exs/types.hpp"
@@ -119,7 +119,7 @@ class EventQueue {
   std::function<void()> watcher_;
   bool watcher_armed_ = true;
   bool closed_ = false;
-  std::deque<Event> queue_;
+  Fifo<Event> queue_;
   std::uint64_t total_ = 0;
   std::uint64_t dropped_on_close_ = 0;
 };

@@ -54,11 +54,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "common/metrics.hpp"
 #include "exs/channel.hpp"
 
@@ -185,7 +185,7 @@ class MuxGroup {
   /// construction, so references stay valid across stream callbacks.
   struct Slot {
     /// Posted data WWIs, oldest first.
-    std::deque<PostRecord> fifo;
+    Fifo<PostRecord> fifo;
     /// Attach-order streams (the dispatch rotation); null marks a detached
     /// stream's hole.  A stream knows its own position (rot_pos_).
     std::vector<MuxStream*> rotation;

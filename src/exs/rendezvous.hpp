@@ -19,8 +19,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
+#include "common/fifo.hpp"
 #include "exs/channel.hpp"
 #include "exs/event_queue.hpp"
 #include "exs/stream.hpp"
@@ -58,8 +58,8 @@ class RendezvousTx {
 
   StreamContext ctx_;
   std::uint64_t seq_ = 0;
-  std::deque<PendingSend> unadvertised_;
-  std::deque<PendingSend> awaiting_;  ///< advertised, not fully READ-DONE
+  Fifo<PendingSend> unadvertised_;
+  Fifo<PendingSend> awaiting_;  ///< advertised, not fully READ-DONE
   bool shutdown_requested_ = false;
   bool shutdown_sent_ = false;
 };
@@ -112,9 +112,9 @@ class RendezvousRx {
   StreamContext ctx_;
   std::uint64_t seq_ = 0;
   std::uint64_t adverts_seen_seq_ = 0;  ///< ordering check on SRC-ADVERTs
-  std::deque<PendingRecv> pending_;
-  std::deque<Source> sources_;
-  std::deque<std::uint64_t> done_queue_;
+  Fifo<PendingRecv> pending_;
+  Fifo<Source> sources_;
+  Fifo<std::uint64_t> done_queue_;
   std::uint32_t outstanding_reads_ = 0;
   std::uint64_t next_read_id_ = 1;
   bool peer_closed_ = false;

@@ -10,8 +10,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
+#include "common/fifo.hpp"
 #include "exs/channel.hpp"
 #include "exs/event_queue.hpp"
 #include "exs/stream.hpp"
@@ -65,9 +65,9 @@ class SeqPacketTx {
 
   StreamContext ctx_;
   std::uint64_t seq_ = 0;  ///< cumulative bytes posted (trace bookkeeping)
-  std::deque<PendingSend> sends_;
-  std::deque<Advert> adverts_;
-  std::deque<Sent> awaiting_ack_;  ///< posted WWIs, completion pending
+  Fifo<PendingSend> sends_;
+  Fifo<Advert> adverts_;
+  Fifo<Sent> awaiting_ack_;  ///< posted WWIs, completion pending
   bool shutdown_requested_ = false;
   bool shutdown_sent_ = false;
 };
@@ -107,7 +107,7 @@ class SeqPacketRx {
   StreamContext ctx_;
   std::uint64_t seq_ = 0;        ///< cumulative bytes received
   std::uint64_t advert_seq_ = 0; ///< monotone ADVERT counter, sent on the wire
-  std::deque<PendingRecv> pending_;
+  Fifo<PendingRecv> pending_;
   bool peer_closed_ = false;
 };
 

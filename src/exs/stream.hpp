@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -25,6 +24,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/spans.hpp"
 #include "common/units.hpp"
@@ -311,8 +311,8 @@ class StreamTx {
   /// posts until here); the loop body itself lives in PumpChunks.
   void Pump();
   void PumpChunks();
-  void PostDirect(PendingSend& s, Advert& advert, std::uint64_t len,
-                  std::size_t rail);
+  void PostDirect(PendingSend& s, std::uint64_t remote_addr,
+                  std::uint32_t rkey, std::uint64_t len, std::size_t rail);
   void PostIndirect(PendingSend& s, std::uint64_t len, std::size_t rail);
   /// Post one chunk of `s` — [s.sent, s.sent+len) — as a WWI on `rail`,
   /// contiguous or gathered from the record's slice list.
@@ -394,8 +394,8 @@ class StreamTx {
   RingCursor remote_ring_;   ///< sender's view of the remote buffer (b_s)
   std::uint64_t remote_ring_addr_ = 0;
   std::uint32_t remote_ring_rkey_ = 0;
-  std::deque<Advert> advert_queue_;                        ///< q_A
-  std::deque<std::shared_ptr<PendingSend>> chunk_queue_;   ///< not fully sent
+  Fifo<Advert> advert_queue_;                       ///< q_A
+  Fifo<std::shared_ptr<PendingSend>> chunk_queue_;  ///< not fully sent
   std::unordered_map<std::uint64_t, std::shared_ptr<PendingSend>> inflight_;
   // Recovery (all dormant while !RecoveryOn()).  The retransmission log
   // holds every queued record, payload snapshotted at Submit, until the
@@ -404,7 +404,7 @@ class StreamTx {
   // flight — or flushed by a kill — when the frontier report arrives).
   std::uint64_t next_stream_off_ = 0;   ///< stream offset of the next queue
   std::uint64_t peer_delivered_ = 0;    ///< frontier last reported by peer
-  std::deque<std::shared_ptr<PendingSend>> sent_log_;
+  Fifo<std::shared_ptr<PendingSend>> sent_log_;
   bool last_transfer_indirect_ = false;  ///< connections begin direct
   bool shutdown_requested_ = false;
   bool shutdown_sent_ = false;
@@ -416,13 +416,13 @@ class StreamTx {
   std::uint64_t stripe_seq_ = 0;        ///< next delivery sequence number
   std::size_t next_rail_ = 0;           ///< round-robin cursor
   std::vector<std::uint64_t> rail_outstanding_ = {0};  ///< bytes in flight
-  std::vector<std::deque<std::uint64_t>> rail_fifo_;   ///< chunk lens, FIFO
+  std::vector<Fifo<std::uint64_t>> rail_fifo_;         ///< chunk lens, FIFO
   // Causal chunk tracing (null = off).  Completions on one rail return in
   // post order, so a per-rail FIFO of chunk trace ids (0 = unsampled)
   // pairs each WR completion with its record.
   spans::SpanCollector* spans_ = nullptr;
   std::uint64_t span_endpoint_ = 0;
-  std::vector<std::deque<std::uint64_t>> span_tx_fifo_;
+  std::vector<Fifo<std::uint64_t>> span_tx_fifo_;
   /// Submit time of the oldest send in the staging buffer (aggregate
   /// provenance: a coalesced chunk's staging span starts here).
   SimTime staged_first_time_ = 0;
@@ -604,7 +604,7 @@ class StreamRx {
   verbs::MemoryRegionPtr ring_mr_;
   bool ring_released_ = false;
   RingCursor ring_;            ///< b_r plus cursors
-  std::deque<PendingRecv> pending_;
+  Fifo<PendingRecv> pending_;
   std::uint64_t pending_ack_bytes_ = 0;
   bool copy_in_progress_ = false;
   bool peer_closed_ = false;
@@ -644,8 +644,8 @@ class StreamRx {
   std::uint64_t span_delivered_ = 0;    ///< bytes delivered to the app
   std::uint64_t span_ring_fill_ = 0;    ///< bytes ever written to the ring
   std::uint64_t span_ring_copied_ = 0;  ///< bytes ever copied out of it
-  std::deque<SpanDeliverWait> span_deliver_wait_;
-  std::deque<SpanRingWait> span_ring_wait_;
+  Fifo<SpanDeliverWait> span_deliver_wait_;
+  Fifo<SpanRingWait> span_ring_wait_;
   std::vector<metrics::Histogram*> rail_hol_;  ///< per-rail HoL wait (ps)
 };
 

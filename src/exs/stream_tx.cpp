@@ -452,16 +452,19 @@ void StreamTx::PumpChunks() {
       std::uint64_t len =
           NextChunkLen(s.len - s.sent, advert.len - advert.filled, MaxChunk());
       len = ClipChunkToSges(s, len);
-      PostDirect(s, advert, len, rail);
-      seq_ += len;
-      s.sent += len;
+      // Settle the ADVERT before posting, so no reference into
+      // advert_queue_ is held across the post (common/fifo.hpp).
+      const std::uint64_t remote_addr = advert.addr + advert.filled;
+      const std::uint32_t rkey = advert.rkey;
       advert.filled += len;
       // A non-WAITALL receive completes on its first chunk, so its ADVERT
       // is consumed even when partially filled; a WAITALL ADVERT stays at
       // the head until all of it has been transferred (§II-C).
-      if (!advert.waitall || advert.filled == advert.len) {
-        advert_queue_.pop_front();
-      }
+      const bool consumed = !advert.waitall || advert.filled == advert.len;
+      PostDirect(s, remote_addr, rkey, len, rail);
+      seq_ += len;
+      s.sent += len;
+      if (consumed) advert_queue_.pop_front();
     } else if (ctx_.options.mode != ProtocolMode::kDirectOnly &&
                remote_ring_.free() > 0) {
       std::size_t rail = PickRail();
@@ -509,7 +512,8 @@ void StreamTx::PumpChunks() {
   }
 }
 
-void StreamTx::PostDirect(PendingSend& s, Advert& advert, std::uint64_t len,
+void StreamTx::PostDirect(PendingSend& s, std::uint64_t remote_addr,
+                          std::uint32_t rkey, std::uint64_t len,
                           std::size_t rail) {
   // Striped posts log (stripe_seq, rail) in the trace's spare fields so
   // the invariant checker can audit reassembly; single-rail posts keep the
@@ -530,8 +534,8 @@ void StreamTx::PostDirect(PendingSend& s, Advert& advert, std::uint64_t len,
     if (span_tx_fifo_.size() <= rail) span_tx_fifo_.resize(rail + 1);
     span_tx_fifo_[rail].push_back(trace_ctx);
   }
-  PostWwiChunk(s, len, advert.addr + advert.filled, advert.rkey,
-               /*indirect=*/false, rail, trace_ctx);
+  PostWwiChunk(s, len, remote_addr, rkey, /*indirect=*/false, rail,
+               trace_ctx);
   NoteStripePosted(rail, len);
 }
 
@@ -742,7 +746,7 @@ void StreamTx::ResumeTx(const ResumeInfo& info) {
   chunk_queue_.clear();
   inflight_.clear();
   std::uint64_t retransmit = 0;
-  std::deque<std::shared_ptr<PendingSend>> survivors;
+  Fifo<std::shared_ptr<PendingSend>> survivors;
   for (auto& rec : sent_log_) {
     if (rec->stream_off + rec->len <= info.delivered) {
       rec->sent = rec->len;

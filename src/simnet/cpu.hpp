@@ -11,8 +11,8 @@
 
 #include <cstdint>
 #include <utility>
-#include <vector>
 
+#include "common/fifo.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "simnet/event_scheduler.hpp"
@@ -58,7 +58,7 @@ class Cpu {
   void InjectStall(SimDuration stall) {
     EXS_CHECK(stall >= 0);
     ++stalls_injected_;
-    tasks_.Push(stall, nullptr);
+    tasks_.emplace_back(stall, nullptr);
     if (!running_) StartNext();
   }
   std::uint64_t StallsInjected() const { return stalls_injected_; }
@@ -76,7 +76,7 @@ class Cpu {
       cost = static_cast<SimDuration>(static_cast<double>(cost) *
                                       cost_factor_);
     }
-    tasks_.Push(cost, std::forward<F>(work));
+    tasks_.emplace_back(cost, std::forward<F>(work));
     if (!running_) StartNext();
   }
 
@@ -101,44 +101,6 @@ class Cpu {
     Callback work;
   };
 
-  /// FIFO of waiting tasks on a power-of-two ring that only ever grows, so
-  /// a steady task stream allocates nothing.
-  class TaskRing {
-   public:
-    bool empty() const { return size_ == 0; }
-    std::size_t size() const { return size_; }
-
-    template <typename F>
-    void Push(SimDuration cost, F&& work) {
-      if (size_ == ring_.size()) Grow();
-      Task& task = ring_[(head_ + size_) & (ring_.size() - 1)];
-      task.cost = cost;
-      task.work = std::forward<F>(work);
-      ++size_;
-    }
-
-    /// Move the oldest task into `out`.
-    void PopInto(Task& out) {
-      out = std::move(ring_[head_]);
-      head_ = (head_ + 1) & (ring_.size() - 1);
-      --size_;
-    }
-
-   private:
-    void Grow() {
-      std::vector<Task> bigger(ring_.empty() ? 16 : 2 * ring_.size());
-      for (std::size_t i = 0; i < size_; ++i) {
-        bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
-      }
-      ring_ = std::move(bigger);
-      head_ = 0;
-    }
-
-    std::vector<Task> ring_;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
-  };
-
   void StartNext() {
     if (tasks_.empty()) {
       running_ = false;
@@ -146,7 +108,8 @@ class Cpu {
       return;
     }
     running_ = true;
-    tasks_.PopInto(current_);
+    current_ = std::move(tasks_.front());
+    tasks_.pop_front();
     scheduler_->ScheduleAfter(current_.cost, [this] { FinishCurrent(); });
   }
 
@@ -160,7 +123,7 @@ class Cpu {
   }
 
   EventScheduler* scheduler_;
-  TaskRing tasks_;
+  Fifo<Task> tasks_;  ///< waiting tasks
   Task current_;  ///< the running task, while running_
   double jitter_ = 0.0;
   double cost_factor_ = 1.0;

@@ -13,10 +13,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "common/check.hpp"
+#include "common/fifo.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "simnet/cpu.hpp"
@@ -175,7 +175,7 @@ class CompletionQueue {
   double notify_jitter_ = 0.0;
   Rng rng_;
   std::function<void(const WorkCompletion&)> handler_;
-  std::deque<WorkCompletion> queue_;
+  Fifo<WorkCompletion> queue_;
   std::size_t dispatch_batch_ = 1;
   bool wakeup_pending_ = false;
   std::uint64_t total_ = 0;

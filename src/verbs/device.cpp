@@ -14,12 +14,12 @@ Device::Device(simnet::Fabric& fabric, std::size_t node_index,
 MemoryRegionPtr Device::RegisterMemory(void* addr, std::size_t length) {
   EXS_CHECK_MSG(addr != nullptr && length > 0,
                 "memory registration needs a real region");
-  // Distinct lkey/rkey, as on real hardware.
-  std::uint32_t lkey = next_key_++;
-  std::uint32_t rkey = next_key_++;
-  auto mr = std::make_shared<MemoryRegion>(addr, length, lkey, rkey);
-  by_lkey_.emplace(lkey, mr);
-  by_rkey_.emplace(rkey, mr);
+  // Distinct lkey/rkey, as on real hardware: region i gets 2i+1 and 2i+2.
+  EXS_CHECK_MSG(regions_.size() < kMaxRegions, "memory key space exhausted");
+  auto lkey = static_cast<std::uint32_t>(2 * regions_.size() + 1);
+  auto mr = std::make_shared<MemoryRegion>(addr, length, lkey, lkey + 1);
+  regions_.push_back(mr);
+  ++live_regions_;
   ++mr_cache_stats_.registrations;
   if (mr_registrations_counter_ != nullptr) {
     mr_registrations_counter_->Increment();
@@ -103,18 +103,24 @@ void Device::EvictOverCapacity() {
 void Device::DeregisterMemory(const MemoryRegionPtr& mr) {
   EXS_CHECK(mr != nullptr);
   mr->invalidated_ = true;
-  by_lkey_.erase(mr->lkey());
-  by_rkey_.erase(mr->rkey());
+  // Already deregistered, or registered on another device.
+  if (FindByLkey(mr->lkey()) != mr.get()) return;
+  regions_[mr->lkey() / 2].reset();
+  --live_regions_;
 }
 
 const MemoryRegion* Device::FindByLkey(std::uint32_t lkey) const {
-  auto it = by_lkey_.find(lkey);
-  return it == by_lkey_.end() ? nullptr : it->second.get();
+  // Odd keys are lkeys: 2i+1 -> i.
+  if (lkey % 2 == 0 || lkey / 2 >= regions_.size()) return nullptr;
+  return regions_[lkey / 2].get();
 }
 
 const MemoryRegion* Device::FindByRkey(std::uint32_t rkey) const {
-  auto it = by_rkey_.find(rkey);
-  return it == by_rkey_.end() ? nullptr : it->second.get();
+  // Even nonzero keys are rkeys: 2i+2 -> i.
+  if (rkey % 2 != 0 || rkey == 0 || rkey / 2 - 1 >= regions_.size()) {
+    return nullptr;
+  }
+  return regions_[rkey / 2 - 1].get();
 }
 
 std::unique_ptr<CompletionQueue> Device::CreateCompletionQueue() {

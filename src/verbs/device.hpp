@@ -6,8 +6,8 @@
 #include <list>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/metrics.hpp"
 #include "simnet/fabric.hpp"
@@ -95,7 +95,7 @@ class Device {
   bool carry_payload() const { return carry_payload_; }
   std::uint32_t max_inline() const { return profile().max_inline; }
 
-  std::size_t RegisteredRegionCount() const { return by_lkey_.size(); }
+  std::size_t RegisteredRegionCount() const { return live_regions_; }
 
   /// Lifetime count of queue pairs constructed against this device.  The
   /// verbs-state budget signal for the mux benches: dedicated-per-stream
@@ -113,17 +113,23 @@ class Device {
   using CacheList = std::list<CacheEntry>;  // front = most recently used
   using CacheKey = std::pair<std::uint64_t, std::uint64_t>;
 
+  /// Regions whose keys 2i+1 and 2i+2 both fit in 32 bits.
+  static constexpr std::size_t kMaxRegions = (UINT32_MAX - 1) / 2;
+
   void ChargeRegistration();
   void EvictOverCapacity();
 
   simnet::Fabric* fabric_;
   std::size_t node_index_;
   bool carry_payload_;
-  std::uint32_t next_key_ = 1;
   std::uint64_t cq_seed_ = 0;
   std::uint64_t qps_created_ = 0;
-  std::unordered_map<std::uint32_t, MemoryRegionPtr> by_lkey_;
-  std::unordered_map<std::uint32_t, MemoryRegionPtr> by_rkey_;
+  /// Every region ever registered, indexed densely by its keys: region i
+  /// holds lkey 2i+1 and rkey 2i+2.  A deregistered region leaves a null
+  /// slot, so a stale key never finds a region; a slot costs 16 bytes for
+  /// the device's lifetime.
+  std::vector<MemoryRegionPtr> regions_;
+  std::size_t live_regions_ = 0;
 
   bool mr_cost_armed_ = false;
   SimDuration mr_time_charged_ = 0;

@@ -11,12 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "common/metrics.hpp"
 #include "common/units.hpp"
 #include "verbs/device.hpp"
@@ -188,7 +188,7 @@ class QueuePair {
   simnet::SimplexChannel* tx_channel_ = nullptr;
   SimTime hca_busy_until_ = 0;
   SharedReceiveQueue* srq_ = nullptr;
-  std::deque<RecvWorkRequest> recv_queue_;
+  Fifo<RecvWorkRequest> recv_queue_;
   QueuePairStats stats_;
   QueuePairInstruments inst_;
   bool killed_ = false;

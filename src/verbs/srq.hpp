@@ -25,8 +25,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
+#include "common/fifo.hpp"
 #include "verbs/types.hpp"
 
 namespace exs::verbs {
@@ -60,7 +60,7 @@ class SharedReceiveQueue {
   bool Pop(RecvWorkRequest* out);
 
   Device* device_;
-  std::deque<RecvWorkRequest> queue_;
+  Fifo<RecvWorkRequest> queue_;
   std::uint64_t total_posted_ = 0;
   std::uint64_t total_consumed_ = 0;
   std::uint64_t empty_pops_ = 0;

@@ -1,13 +1,13 @@
-// Per-connection memory footprint of a muxed socket pair, the quantity
-// that bounds how many streams one simulation can hold.  Builds 1024
-// muxed pairs with the KV benchmark's stream options and bounds both the
-// heap they hold (mallinfo2) and the allocations they make (a counting
+// Per-connection memory footprint of a socket pair, the quantity that
+// bounds how many streams one simulation can hold.  Builds 1024 muxed and
+// 1024 classic pairs with the KV benchmark's stream options and bounds both
+// the heap they hold (mallinfo2) and the allocations they make (a counting
 // operator new, replaced for this test binary only).
 //
-// A socket's schema instruments live by value in its instrument block and
-// a histogram's buckets are allocated on first Record, so a freshly
-// connected pair should hold well under half of what a string-keyed
-// instrument map per socket costs.
+// A socket's schema instruments live by value in its instrument block, a
+// histogram's buckets are allocated on first Record, and the per-connection
+// queues (common/fifo.hpp) allocate on first push, so a freshly connected
+// pair holds little beyond its sockets and its 2 KiB rings.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -39,41 +39,76 @@ namespace {
 
 using simnet::HardwareProfile;
 
+#ifndef EXS_SANITIZED
+constexpr std::size_t kPairs = 1024;
+
+// The KV benchmark's token-sized streams.
+StreamOptions KvStreamOptions() {
+  StreamOptions opts;
+  opts.credits = 8;
+  opts.intermediate_buffer_bytes = 2 * kKiB;
+  opts.max_wwi_chunk = 2 * kKiB;
+  return opts;
+}
+
+struct Footprint {
+  double bytes_per_pair;
+  double allocations_per_pair;
+};
+
+// Heap held and allocations made by kPairs calls of `create_pair`.
+template <typename F>
+Footprint MeasurePairs(const char* label, F&& create_pair) {
+  const std::size_t heap_before = mallinfo2().uordblks;
+  const std::uint64_t allocations_before = g_allocations.load();
+  for (std::size_t i = 0; i < kPairs; ++i) create_pair();
+  Footprint f{
+      static_cast<double>(mallinfo2().uordblks - heap_before) / kPairs,
+      static_cast<double>(g_allocations.load() - allocations_before) /
+          kPairs};
+  ::testing::Test::RecordProperty("bytes_per_pair",
+                                  std::to_string(f.bytes_per_pair));
+  ::testing::Test::RecordProperty("allocations_per_pair",
+                                  std::to_string(f.allocations_per_pair));
+  std::printf("%s pair: %.0f heap bytes, %.1f allocations\n", label,
+              f.bytes_per_pair, f.allocations_per_pair);
+  return f;
+}
+#endif
+
 TEST(InstrumentFootprint, MuxedPairStaysSmall) {
 #ifdef EXS_SANITIZED
   GTEST_SKIP() << "the sanitizer runtime replaces malloc; heap figures are "
                   "meaningless under it";
 #else
-  constexpr std::size_t kPairs = 1024;
-  constexpr double kMaxBytesPerPair = 24 * 1024;
-  constexpr double kMaxAllocationsPerPair = 64;
-
   Simulation sim(HardwareProfile::FdrInfiniBand(), 1, true);
   MuxOptions mopts;
   mopts.width = 8;
   MuxGroup g0(sim.device(0), mopts);
   MuxGroup g1(sim.device(1), mopts);
   MuxGroup::Connect(g0, g1);
-  // The KV benchmark's token-sized streams.
-  StreamOptions opts;
-  opts.credits = 8;
-  opts.intermediate_buffer_bytes = 2 * kKiB;
-  opts.max_wwi_chunk = 2 * kKiB;
+  const StreamOptions opts = KvStreamOptions();
+  Footprint f =
+      MeasurePairs("muxed", [&] { sim.CreateMuxedPair(g0, g1, opts); });
+  EXPECT_LE(f.bytes_per_pair, 14 * 1024);
+  EXPECT_LE(f.allocations_per_pair, 32);
+#endif
+}
 
-  const std::size_t heap_before = mallinfo2().uordblks;
-  const std::uint64_t allocations_before = g_allocations.load();
-  for (std::size_t i = 0; i < kPairs; ++i) sim.CreateMuxedPair(g0, g1, opts);
-  const double bytes_per_pair =
-      static_cast<double>(mallinfo2().uordblks - heap_before) / kPairs;
-  const double allocations_per_pair =
-      static_cast<double>(g_allocations.load() - allocations_before) / kPairs;
-
-  RecordProperty("bytes_per_pair", std::to_string(bytes_per_pair));
-  RecordProperty("allocations_per_pair", std::to_string(allocations_per_pair));
-  EXPECT_LE(bytes_per_pair, kMaxBytesPerPair);
-  EXPECT_LE(allocations_per_pair, kMaxAllocationsPerPair);
-  std::printf("muxed pair: %.0f heap bytes, %.1f allocations\n",
-              bytes_per_pair, allocations_per_pair);
+// A classic pair also owns its queue pair, completion queues and control
+// channel on each side.
+TEST(InstrumentFootprint, ClassicPairStaysSmall) {
+#ifdef EXS_SANITIZED
+  GTEST_SKIP() << "the sanitizer runtime replaces malloc; heap figures are "
+                  "meaningless under it";
+#else
+  Simulation sim(HardwareProfile::FdrInfiniBand(), 1, true);
+  const StreamOptions opts = KvStreamOptions();
+  Footprint f = MeasurePairs("classic", [&] {
+    sim.CreateConnectedPair(SocketType::kStream, opts);
+  });
+  EXPECT_LE(f.bytes_per_pair, 21 * 1024);
+  EXPECT_LE(f.allocations_per_pair, 96);
 #endif
 }
 

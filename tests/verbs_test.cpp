@@ -3,6 +3,8 @@
 // delivery, receiver-not-ready errors, and completion timing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -50,6 +52,37 @@ TEST_F(VerbsTest, RegistrationProducesDistinctKeys) {
   dev0_.DeregisterMemory(mr);
   EXPECT_EQ(dev0_.FindByLkey(mr->lkey()), nullptr);
   EXPECT_TRUE(mr->invalidated());
+}
+
+TEST_F(VerbsTest, KeyLookupRejectsStaleUnissuedAndCrossedKeys) {
+  std::vector<std::uint8_t> buf(256);
+  auto first = dev0_.RegisterMemory(buf.data(), 128);
+  auto second = dev0_.RegisterMemory(buf.data() + 128, 128);
+  const std::size_t live = dev0_.RegisteredRegionCount();
+
+  // An lkey is never an rkey, and the reverse.
+  for (const auto& mr : {first, second}) {
+    EXPECT_EQ(dev0_.FindByRkey(mr->lkey()), nullptr);
+    EXPECT_EQ(dev0_.FindByLkey(mr->rkey()), nullptr);
+  }
+  // Keys never issued: zero, just past the last region, the top of the
+  // key space.
+  const std::uint32_t past = std::max(second->lkey(), second->rkey()) + 1;
+  for (std::uint32_t key : {0u, past, past + 1, UINT32_MAX, UINT32_MAX - 1}) {
+    EXPECT_EQ(dev0_.FindByLkey(key), nullptr) << key;
+    EXPECT_EQ(dev0_.FindByRkey(key), nullptr) << key;
+  }
+
+  // A deregistered region's keys find nothing; its neighbour is untouched,
+  // and deregistering twice counts once.
+  dev0_.DeregisterMemory(first);
+  EXPECT_EQ(dev0_.FindByLkey(first->lkey()), nullptr);
+  EXPECT_EQ(dev0_.FindByRkey(first->rkey()), nullptr);
+  EXPECT_EQ(dev0_.FindByLkey(second->lkey()), second.get());
+  EXPECT_EQ(dev0_.FindByRkey(second->rkey()), second.get());
+  EXPECT_EQ(dev0_.RegisteredRegionCount(), live - 1);
+  dev0_.DeregisterMemory(first);
+  EXPECT_EQ(dev0_.RegisteredRegionCount(), live - 1);
 }
 
 TEST_F(VerbsTest, SendRecvMovesBytes) {
